@@ -224,6 +224,14 @@ def _parse_grid(text: str) -> list[tuple[str, list[str]]]:
     return axes
 
 
+def _grid_int(text: str) -> int:
+    """An integer grid value, as typed ("3") or as a range prints it ("3.0")."""
+    value = Fraction(text)
+    if value.denominator != 1:
+        raise ValueError(f"n must be an integer, got {text!r}")
+    return int(value)
+
+
 def _table_cell(function: str, point: dict[str, str],
                 cfg: QuadConfig) -> tuple[str, str]:
     try:
@@ -236,16 +244,16 @@ def _table_cell(function: str, point: dict[str, str],
                                            point["x"], point["lambda"], cfg)
             return value, err
         if function == "zeta-neg":
-            value = zeta_deg_neg(int(point["n"]), Fraction(point["x"]),
+            value = zeta_deg_neg(_grid_int(point["n"]), Fraction(point["x"]),
                                  Fraction(point["lambda"]))
             return str(value), ""
         if function == "euler":
-            poly = euler_poly_deg(int(point["n"]), Fraction(point["lambda"]))
+            poly = euler_poly_deg(_grid_int(point["n"]), Fraction(point["lambda"]))
             if "x" in point:
                 return str(poly(Fraction(point["x"]))), ""
             return str(poly), ""
         raise DomainError(f"unknown table function {function!r}")
-    except (DomainError, NonConvergentError, ZeroDivisionError) as exc:
+    except (ValueError, NonConvergentError, ZeroDivisionError) as exc:
         return f"NA: {exc}", ""
 
 

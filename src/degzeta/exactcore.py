@@ -12,19 +12,28 @@ that drives the expansion of (1+lt)^(y/l):
     (1+lt)^(y/l) = sum_m (y|l)_m t^m / m!        (valid termwise for l = 0 too,
                                                   where it degenerates to e^(yt))
 
-Two independent routes to E_n(x|l) are provided: a binomial recurrence
-(`euler_poly_deg`) and brute-force truncated-series division of the
-generating function (`series_oracle`).  They must agree exactly; the test
-suite and the `verify` command enforce this.
+One integer kernel, `euler_scaled`, produces E_n(x|l) for a rational x:
+with l = p/q, x = a/b and D = bq it runs the recurrence for
+F_n = (2D)^n E_n(x|l) over integers, and each value is divided out once.
+`euler_poly_deg_values` reads values from it directly; `euler_poly_deg`
+takes the numbers E_k(0|l) from it and combines them with the integer
+falling-factorial polynomials q^m (x|l)_m through the product form
+
+    E_n(x|l) = sum_k C(n,k) E_k(0|l) (x|l)_{n-k},
+
+over the single denominator (2q)^n.  An independent route to E_n(x|l),
+brute-force truncated-series division of the generating function
+(`series_oracle`), must agree exactly; the test suite and the `verify`
+command enforce this.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence, Union
+from itertools import count, islice
+from math import comb
+from typing import Iterator, Sequence, Union
 
 __all__ = [
     "Rational",
@@ -32,8 +41,10 @@ __all__ = [
     "PolyRational",
     "TruncatedSeries",
     "ffd",
+    "ffd_scaled",
     "kernel_series",
     "kernel_series_in_x",
+    "euler_scaled",
     "euler_poly_deg",
     "euler_poly_classic",
     "euler_number_deg",
@@ -275,19 +286,32 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs={list(self._coeffs)!r})"
 
 
+def ffd_scaled(l: Fraction, lam: Fraction) -> Iterator[int]:
+    """Yield the integers D^m (l|lam)_m = prod_{j<m} (aq - jpb), m = 0, 1, ...
+
+    Here l = a/b, lam = p/q and D = bq, so every factor is an integer and
+    (l|lam)_m is the m-th yielded value over D^m.
+    """
+    base = l.numerator * lam.denominator
+    step = lam.numerator * l.denominator
+    num = 1
+    for j in count():
+        yield num
+        num *= base - j * step
+
+
 def ffd(l: RationalLike, lam: RationalLike, m: int) -> Fraction:
     """Generalized falling factorial (l|lam)_m = l(l-lam)...(l-(m-1)lam).
 
-    (l|lam)_0 = 1 by convention; at lam = 0 this collapses to l^m.
+    (l|lam)_0 = 1 by convention; at lam = 0 this collapses to l^m.  The
+    product is taken over integers and divided once.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     lf = as_rational(l)
     lamf = as_rational(lam)
-    out = Fraction(1)
-    for j in range(m):
-        out *= lf - j * lamf
-    return out
+    num = next(islice(ffd_scaled(lf, lamf), m, None))
+    return Fraction(num, (lf.denominator * lamf.denominator) ** m)
 
 
 def kernel_series(y: RationalLike, lam: RationalLike, order: int) -> TruncatedSeries:
@@ -327,34 +351,66 @@ def kernel_series_in_x(lam: RationalLike, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-@lru_cache(maxsize=None)
-def _euler_poly_deg_cached(n: int, lam: Fraction) -> PolyRational:
-    if n == 0:
-        return PolyRational.constant(1)
-    x = PolyRational.x()
-    head = PolyRational.constant(1)
-    for j in range(n):
-        head = head * (x - PolyRational.constant(j * lam))
-    acc = PolyRational.constant(0)
-    for k in range(n):
-        acc = acc + math.comb(n, k) * ffd(1, lam, n - k) * _euler_poly_deg_cached(k, lam)
-    return head - acc / Fraction(2)
+def euler_scaled(x: Fraction, lam: Fraction) -> Iterator[int]:
+    """Yield the integers F_n = (2D)^n E_n(x|lam), n = 0, 1, ..., D = bq.
+
+    With x = a/b and lam = p/q, clearing (2D)^n from the recurrence of
+    `euler_poly_deg_values` leaves
+
+        F_n = X_n - sum_{k<n} C(n,k) U_{n-k} F_k,
+        X_n = prod_{j<n} 2(aq - jpb),
+        U_m = 2^(m-1) b^m prod_{j<m} (q - jp),
+
+    so the whole recurrence runs over integers.  The generator can be
+    resumed to extend the sequence to any depth.
+    """
+    b = x.denominator
+    ffx = ffd_scaled(x, lam)  # D^n (x|lam)_n
+    ff1 = ffd_scaled(Fraction(1), lam)  # q^m (1|lam)_m
+    next(ff1)  # U_m is needed from m = 1 on
+    scaled: list[int] = []
+    u = [0]  # u[m] = U_m for m >= 1
+    binom = [1]  # C(n, k), k = 0..n
+    b_pow = 1
+    for n in count():
+        acc = next(ffx) << n
+        acc -= sum(c * u_m * f for c, u_m, f in zip(binom, reversed(u), scaled))
+        scaled.append(acc)
+        yield acc
+        b_pow *= b
+        u.append(b_pow * next(ff1) << n)
+        binom = [1, *map(sum, zip(binom, binom[1:])), 1]
 
 
 def euler_poly_deg(n: int, lam: RationalLike) -> PolyRational:
     """Degenerate Euler polynomial E_n(x|lam), exact in x.
 
-    Computed by the recurrence obtained from clearing the denominator of
-    the generating function:
+    The generating function factors as [2 / ((1+lam*t)^(1/lam) + 1)] times
+    (1+lam*t)^(x/lam), which gives the product form
 
-        E_n(x|lam) = (x|lam)_n - (1/2) sum_{k<n} C(n,k) (1|lam)_{n-k} E_k(x|lam)
+        E_n(x|lam) = sum_k C(n,k) E_k(0|lam) (x|lam)_{n-k}.
 
-    with E_0 = 1.  The recurrence is validated against `series_oracle`
-    (exact equality for all n) before anything downstream trusts it.
+    With lam = p/q the numbers (2q)^k E_k(0|lam) come from `euler_scaled`
+    and q^m (x|lam)_m = prod_{j<m} (qx - jp) are integer polynomials, so
+    the sum is taken over integers and divided once by (2q)^n.  This route
+    is validated against `series_oracle` (exact equality for all n)
+    before anything downstream trusts it.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _euler_poly_deg_cached(n, as_rational(lam))
+    lamf = as_rational(lam)
+    p, q = lamf.numerator, lamf.denominator
+    numbers = list(islice(euler_scaled(Fraction(0), lamf), n + 1))
+    acc = [0] * (n + 1)
+    basis = [1]  # ascending coefficients of q^m (x|lam)_m
+    for m in range(n + 1):
+        weight = comb(n, m) * numbers[n - m] << m
+        for i, c in enumerate(basis):
+            acc[i] += weight * c
+        shift = m * p
+        basis = [q * hi - shift * lo for lo, hi in zip(basis + [0], [0] + basis)]
+    den = (2 * q) ** n
+    return PolyRational([Fraction(c, den) for c in acc])
 
 
 def euler_poly_classic(n: int) -> PolyRational:
@@ -370,27 +426,21 @@ def euler_number_deg(n: int, lam: RationalLike) -> Fraction:
 def euler_poly_deg_values(n_max: int, x: RationalLike, lam: RationalLike) -> list[Fraction]:
     """Values E_0(x|lam), ..., E_{n_max}(x|lam) at a fixed rational x.
 
-    Same recurrence as `euler_poly_deg` but run scalar-wise, which keeps
-    deep orders (needed by the zeta continuation) cheap: O(n_max^2)
-    rational operations instead of polynomial products.
+    Clearing the denominator of the generating function gives
+
+        E_n(x|lam) = (x|lam)_n - (1/2) sum_{k<n} C(n,k) (1|lam)_{n-k} E_k(x|lam),
+
+    E_0 = 1, which `euler_scaled` runs over integers scaled by (2D)^n; each
+    value is divided out once at the end.  O(n_max^2) integer operations,
+    which keeps deep orders (needed by the zeta continuation) cheap.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     xf = as_rational(x)
     lamf = as_rational(lam)
-    # ffd(x,lam,n) and ffd(1,lam,j) built incrementally
-    ffx = [Fraction(1)]
-    ff1 = [Fraction(1)]
-    for j in range(n_max):
-        ffx.append(ffx[-1] * (xf - j * lamf))
-        ff1.append(ff1[-1] * (1 - j * lamf))
-    values = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += math.comb(n, k) * ff1[n - k] * values[k]
-        values.append(ffx[n] - acc / 2)
-    return values
+    two_d = 2 * xf.denominator * lamf.denominator
+    return [Fraction(f, two_d ** n)
+            for n, f in enumerate(islice(euler_scaled(xf, lamf), n_max + 1))]
 
 
 def series_oracle(n_max: int, lam: RationalLike) -> list[PolyRational]:

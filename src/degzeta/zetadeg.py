@@ -44,8 +44,8 @@ from .exactcore import (
     RationalLike,
     as_rational,
     euler_poly_deg,
-    euler_poly_deg_values,
-    ffd,
+    euler_scaled,
+    ffd_scaled,
 )
 from .gammadeg import (
     DOMAIN_MARGIN,
@@ -55,6 +55,7 @@ from .gammadeg import (
 )
 from .numerics import (
     DomainError,
+    NonConvergentError,
     QuadConfig,
     QuadResult,
     euler_transform_sum,
@@ -315,43 +316,48 @@ def zeta_deg_neg_plain(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 _COEFF_NEGLIGIBLE = 1e-24
+_COEFF_DEPTH_MIN = 80
 _COEFF_DEPTH_STEP = 40
 _COEFF_DEPTH_MAX = 600
 
 
 @lru_cache(maxsize=None)
-def _zeta_kernel_coeffs(x: Fraction, lam: Fraction) -> tuple[float, ...]:
-    """Float Taylor coefficients (-1)^m E_m(x|-lam)/m! of F(-t,x|-lam)."""
-    depth = 80
-    while True:
-        values = euler_poly_deg_values(depth, x, -lam)
-        coeffs = []
-        fact = 1
-        for m, e in enumerate(values):
-            if m > 0:
-                fact *= m
-            coeffs.append(float(Fraction((-1) ** m) * e / fact))
-        if max(abs(c) for c in coeffs[-6:]) < _COEFF_NEGLIGIBLE or depth >= _COEFF_DEPTH_MAX:
-            return tuple(coeffs)
-        depth += _COEFF_DEPTH_STEP
+def _kernel_coeffs(x: Fraction | None, lam: Fraction) -> tuple[float, ...]:
+    """Float Taylor coefficients at t = 0 of a continued kernel, to negligible depth.
 
+    With x None the kernel is (1+lam*t)^(-1/lam), whose coefficients are
+    (-1|lam)_m / m!; otherwise it is F(-t,x|-lam), whose coefficients are
+    (-1)^m E_m(x|-lam) / m!.  Both are exact integers over scale^m m!
+    (scale q, resp. 2bq, for lam = p/q and x = a/b), extended one term at
+    a time; int / int true division is correctly rounded, so each float
+    equals float() of the exact rational.  The depth grows from 80 in
+    steps of 40 until the last six coefficients are negligible.
 
-@lru_cache(maxsize=None)
-def _gamma_kernel_coeffs(lam: Fraction) -> tuple[float, ...]:
-    """Float Taylor coefficients (-1|lam)_k / k! of (1+lam*t)^(-1/lam)."""
-    depth = 80
-    while True:
-        coeffs = []
-        num = Fraction(1)
-        fact = 1
-        for k in range(depth + 1):
-            if k > 0:
-                num *= Fraction(-1) - (k - 1) * lam
-                fact *= k
-            coeffs.append(float(num / fact))
-        if max(abs(c) for c in coeffs[-6:]) < _COEFF_NEGLIGIBLE or depth >= _COEFF_DEPTH_MAX:
-            return tuple(coeffs)
-        depth += _COEFF_DEPTH_STEP
+    Raises:
+        NonConvergentError: the coefficients are still above the
+            negligible level at the depth cap.
+    """
+    if x is None:
+        nums = ffd_scaled(Fraction(-1), lam)
+        scale = lam.denominator
+    else:
+        nums = (-f if m % 2 else f for m, f in enumerate(euler_scaled(x, -lam)))
+        scale = 2 * x.denominator * lam.denominator
+    coeffs = []
+    den = 1
+    for m, num in enumerate(nums):
+        if m > 0:
+            den *= scale * m
+        coeffs.append(num / den)
+        if m >= _COEFF_DEPTH_MIN and (m - _COEFF_DEPTH_MIN) % _COEFF_DEPTH_STEP == 0:
+            tail = max(abs(c) for c in coeffs[-6:])
+            if tail < _COEFF_NEGLIGIBLE:
+                return tuple(coeffs)
+            if m >= _COEFF_DEPTH_MAX:
+                raise NonConvergentError(
+                    f"Taylor coefficients of the continued kernel are still "
+                    f"{tail:.1e} at depth {m} (lambda={float(lam)!r})"
+                )
 
 
 def _pole_distance_ok(s: float) -> None:
@@ -388,7 +394,7 @@ def gamma_deg_continued(s: float, lam: float,
         raise DomainError("s too close to the divergence threshold 1/lambda")
     _pole_distance_ok(s)
     lamf = Fraction(lam)
-    value, _ = _split_mellin(s, _gamma_kernel_coeffs(lamf), deg_kernel(lam), cfg)
+    value, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam), cfg)
     return value
 
 
@@ -412,9 +418,9 @@ def zeta_deg_continued(s: float, x: float, lam: float,
     _pole_distance_ok(s)
     xf = Fraction(x)
     lamf = Fraction(lam)
-    num, _ = _split_mellin(s, _zeta_kernel_coeffs(xf, lamf),
+    num, _ = _split_mellin(s, _kernel_coeffs(xf, lamf),
                            deg_euler_zeta_kernel(x, lam), cfg)
-    den, _ = _split_mellin(s, _gamma_kernel_coeffs(lamf), deg_kernel(lam), cfg)
+    den, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam), cfg)
     return num / den
 
 
@@ -462,8 +468,13 @@ def discrepancy_experiment(n: int, x: RationalLike, lam: RationalLike,
     xr = float(xf)
     lr = float(lamf)
 
+    # the coarse pass revisits three of the fine pass's points
+    samples: dict[float, float] = {}
+
     def sample(eps: float) -> float:
-        return zeta_deg_continued(-float(n) + eps, xr, lr, cfg)
+        if eps not in samples:
+            samples[eps] = zeta_deg_continued(-float(n) + eps, xr, lr, cfg)
+        return samples[eps]
 
     value = richardson_limit(sample, 1e-2, 2.0, 3)
     coarse = richardson_limit(sample, 1e-2, 2.0, 2)

@@ -94,6 +94,24 @@ def test_table_out_of_domain_cell_is_explicit_na(capsys):
     assert lines[2].split(",", 3)[3].startswith('"NA:')
 
 
+def test_table_euler_integer_axis(capsys):
+    rc, out, _ = run_cli(capsys, "table", "--function", "euler",
+                         "--grid", "n=1:4:4;lambda=1/2", "--format", "csv")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 5
+    assert lines[2] == "2.0,1/2,1/4 - 3/2*x + x^2,"
+
+
+def test_table_bad_integer_cell_is_explicit_na(capsys):
+    rc, out, _ = run_cli(capsys, "table", "--function", "euler",
+                         "--grid", "n=2,2.0,2.5;lambda=1/2", "--format", "csv")
+    assert rc == 0
+    rows = out.splitlines()[1:]
+    assert rows[0].split(",", 1)[1] == rows[1].split(",", 1)[1]
+    assert rows[2].split(",", 2)[2].startswith('"NA:')
+
+
 def test_table_missing_variable_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "table", "--function", "zeta",
                          "--grid", "s=1,2")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -155,14 +156,59 @@ def test_value_recurrence_matches_polynomial_evaluation():
             assert vals[n] == euler_poly_deg(n, lam)(F(3, 2))
 
 
-@settings(max_examples=25, deadline=None)
+_RATIONAL_LAMBDAS = st.fractions(min_value=-2, max_value=2, max_denominator=50)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=12),
+       st.one_of(st.just(F(0)), _RATIONAL_LAMBDAS))
+def test_product_form_equals_series_oracle_property(n, lam):
+    assert euler_poly_deg(n, lam) == series_oracle(n, lam)[n]
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=8),
-    st.fractions(min_value=-1, max_value=1, max_denominator=6),
-    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.integers(min_value=0, max_value=12),
+    st.one_of(st.just(F(0)), _RATIONAL_LAMBDAS),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
 )
 def test_value_recurrence_property(n, lam, x):
     assert euler_poly_deg_values(n, x, lam)[n] == euler_poly_deg(n, lam)(x)
+
+
+def _fraction_values(n_max, x, lam):
+    """The scalar recurrence over Fractions, reference for the integer kernel."""
+    ffx = [F(1)]
+    ff1 = [F(1)]
+    for j in range(n_max):
+        ffx.append(ffx[-1] * (x - j * lam))
+        ff1.append(ff1[-1] * (1 - j * lam))
+    values = [F(1)]
+    for n in range(1, n_max + 1):
+        acc = sum(math.comb(n, k) * ff1[n - k] * values[k] for k in range(n))
+        values.append(ffx[n] - acc / 2)
+    return values
+
+
+@pytest.mark.parametrize("x, lam", [
+    (F(1), F(1, 10)),
+    (F(1.3), F(0.1)),
+    (F(2.7), F(0.27)),
+])
+def test_kernel_coeff_floats_match_fraction_route(x, lam):
+    from degzeta.zetadeg import _kernel_coeffs
+
+    zeta = _kernel_coeffs(x, lam)
+    values = _fraction_values(len(zeta) - 1, x, -lam)
+    assert zeta == tuple(float((-1) ** m * e / math.factorial(m))
+                         for m, e in enumerate(values))
+    gamma = _kernel_coeffs(None, lam)
+    num, expected = F(1), []
+    for k in range(len(gamma)):
+        if k > 0:
+            num *= -1 - (k - 1) * lam
+        expected.append(float(num / math.factorial(k)))
+    assert gamma == tuple(expected)
 
 
 # ---------------------------------------------------------------------------

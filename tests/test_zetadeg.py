@@ -5,7 +5,7 @@ import pytest
 
 from degzeta.exactcore import euler_poly_classic, euler_poly_deg
 from degzeta.gammadeg import gamma_deg_residue
-from degzeta.numerics import DomainError, richardson_limit
+from degzeta.numerics import DomainError, NonConvergentError, richardson_limit
 from degzeta.zetadeg import (
     discrepancy_experiment,
     euler_zeta,
@@ -169,19 +169,15 @@ def test_continued_finite_between_poles():
 def test_continued_depth_independence():
     # the Taylor depth of the [0,1] piece must not affect the value once
     # the coefficients have decayed; slice the cached coefficient vectors
-    from degzeta.zetadeg import (
-        _gamma_kernel_coeffs,
-        _split_mellin,
-        _zeta_kernel_coeffs,
-    )
+    from degzeta.zetadeg import _kernel_coeffs, _split_mellin
     from degzeta.gammadeg import deg_kernel
     from degzeta.numerics import QuadConfig
     from degzeta.zetadeg import deg_euler_zeta_kernel
 
     cfg = QuadConfig()
     s = -0.5
-    num_coeffs = _zeta_kernel_coeffs(F(1), F(1, 10))
-    den_coeffs = _gamma_kernel_coeffs(F(1, 10))
+    num_coeffs = _kernel_coeffs(F(1), F(1, 10))
+    den_coeffs = _kernel_coeffs(None, F(1, 10))
     kern_n = deg_euler_zeta_kernel(1.0, 0.1)
     kern_d = deg_kernel(0.1)
     values = []
@@ -190,6 +186,13 @@ def test_continued_depth_independence():
         d, _ = _split_mellin(s, den_coeffs[:depth], kern_d, cfg)
         values.append(n / d)
     assert abs(values[0] - values[1]) <= 1e-8
+
+
+def test_continued_fails_fast_at_depth_cap():
+    # at lambda = 0.97 the kernel coefficients decay like 0.97^m and are
+    # still ~1e-8 at the depth cap
+    with pytest.raises(NonConvergentError):
+        gamma_deg_continued(-0.5, 0.97)
 
 
 def test_continued_pole_guard():
@@ -234,6 +237,22 @@ def test_discrepancy_grid_all_scaled():
                 rep = discrepancy_experiment(n, x, lam)
                 assert rep.winner == "scaled", (n, x, lam)
                 assert abs(rep.value_continued - float(rep.value_scaled)) <= 1e-4
+
+
+def test_discrepancy_evaluates_each_point_once(monkeypatch):
+    from degzeta import zetadeg
+
+    points = []
+    continued = zetadeg.zeta_deg_continued
+
+    def counted(s, x, lam, cfg=None):
+        points.append(s)
+        return continued(s, x, lam, cfg)
+
+    monkeypatch.setattr(zetadeg, "zeta_deg_continued", counted)
+    rep = zetadeg.discrepancy_experiment(2, 1, F(1, 4))
+    assert len(points) == 4 == len(set(points))
+    assert rep.winner == "scaled"
 
 
 def test_discrepancy_rejects_degenerate_order():
