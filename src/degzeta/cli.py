@@ -283,22 +283,9 @@ def cmd_table(args) -> int:
         point = dict(zip(names, combo))
         value, err = _table_cell(args.function, point, cfg)
         rows.append(list(combo) + [value, err])
-    if args.format == "json":
-        print(json.dumps({
-            "function": args.function,
-            "columns": header,
-            "rows": rows,
-        }))
-    elif args.format == "text":
-        print("  ".join(header))
-        for row in rows:
-            print("  ".join(row))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+    payload = {"function": args.function, "columns": header, "rows": rows}
+    _emit(args, payload, ["  ".join(row) for row in [header] + rows],
+          csv_header=header, csv_rows=rows)
     return 0
 
 
@@ -308,34 +295,30 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_suite(args.suite)
+    payload = report.to_dict()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(payload, fh, indent=2)
             fh.write("\n")
-    if args.format == "json":
-        d = report.to_dict()
-        d.pop("wall_time_s")  # keep stdout byte-deterministic
-        print(json.dumps(d))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["status", "check_id", "residual", "tolerance", "anchor"])
-        for c in report.checks:
-            writer.writerow([
-                "PASS" if c.passed else "FAIL",
-                c.check_id,
-                "" if c.residual is None else format_float(c.residual),
-                "" if c.tolerance is None else repr(c.tolerance),
-                c.anchor,
-            ])
-        sys.stdout.write(buf.getvalue())
-    else:
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            res = "" if c.residual is None else f"  residual={c.residual:.3e}"
-            print(f"{status}  {c.check_id}{res}")
-        print(f"suite={report.suite} passed={report.passed} "
-              f"failed={report.failed}")
+    payload.pop("wall_time_s")  # keep stdout byte-deterministic
+    lines = []
+    rows = []
+    for c in report.checks:
+        status = "PASS" if c.passed else "FAIL"
+        res = "" if c.residual is None else f"  residual={c.residual:.3e}"
+        lines.append(f"{status}  {c.check_id}{res}")
+        rows.append([
+            status,
+            c.check_id,
+            "" if c.residual is None else format_float(c.residual),
+            "" if c.tolerance is None else repr(c.tolerance),
+            c.anchor,
+        ])
+    lines.append(f"suite={report.suite} passed={report.passed} "
+                 f"failed={report.failed}")
+    _emit(args, payload, lines,
+          csv_header=["status", "check_id", "residual", "tolerance", "anchor"],
+          csv_rows=rows)
     return 0 if report.all_passed else 1
 
 

@@ -12,9 +12,11 @@ The Euler transformation rewrites sum_m (-1)^m a_m as
     sum_k (-1)^k (D^k a)_0 / 2^(k+1),      D = forward difference,
 
 which accelerates convergent alternating series and, crucially, terminates
-after finitely many terms when a_m is a polynomial in m, yielding the Abel
-sum of the (divergent) series exactly.  Differences are taken in exact
-rational arithmetic whenever the terms are Fractions.
+after d + 1 terms when a_m is a polynomial in m of degree d, yielding the
+Abel sum of the (divergent) series exactly.  Differences are exact only
+for a declared degree: the caller passes d, and d + 1 rational terms give
+the Abel sum as a Fraction.  Without a declared degree the terms are
+floats and the sum stops on a tolerance.
 """
 
 from __future__ import annotations
@@ -229,83 +231,58 @@ def _term_getter(a: TermSource) -> tuple[Callable[[int], object], int]:
 
 def euler_transform_sum(a: TermSource, *, tol: float = 1e-12,
                         max_terms: int = 400,
-                        exact: bool = False) -> AccelResult:
+                        degree: int | None = None) -> AccelResult:
     """Sum the alternating series sum_{m>=0} (-1)^m a_m by Euler's transformation.
 
     `a` is a callable m -> a_m or a sequence.  The transform value is
     sum_k (-1)^k (D^k a)_0 / 2^(k+1) with D the forward difference.
 
-    With exact=True all differences are taken in rational arithmetic and
-    the result is a Fraction; when a whole difference row vanishes (as it
-    must once the row order exceeds the degree of a polynomial a_m) the
-    sum has terminated exactly and equals the Abel sum of the series.
-    The float path uses compensated summation of the transform terms.
+    With degree=d the caller declares that a_m is a polynomial in m of
+    degree d.  Every difference of order > d then vanishes, so exactly
+    d + 1 terms are taken in rational arithmetic and the Fraction result
+    is the Abel sum of the series (terminated_exactly=True); tol and
+    max_terms do not apply.  Without a degree the terms are floats, the
+    transform terms are added with compensated summation, and the sum
+    stops once two successive increments are below tol relative to it.
 
     Raises:
-        NonConvergentError: max_terms reached without meeting tol and
-            without exact termination.
+        TypeError: a declared degree with a float term.
+        NonConvergentError: a declared degree with fewer than d + 1 terms
+            in the sequence, or max_terms reached without meeting tol.
     """
     term_at, limit = _term_getter(a)
-    budget = max_terms if limit < 0 else min(max_terms, limit)
+    exact = degree is not None
+    if exact:
+        budget = degree + 1
+        if 0 <= limit < budget:
+            raise NonConvergentError(
+                f"degree {degree} needs {budget} terms, got {limit}")
+    else:
+        budget = max_terms if limit < 0 else min(max_terms, limit)
     if budget < 1:
         raise ValueError("need at least one term")
 
-    if exact:
-        return _euler_transform_exact(term_at, budget, tol)
-    return _euler_transform_float(term_at, budget, tol)
-
-
-def _euler_transform_exact(term_at, budget: int, tol: float) -> AccelResult:
-    rows: list[list[Fraction]] = []
-    value = Fraction(0)
-    small_streak = 0
-    for n in range(budget):
-        t = term_at(n)
-        if isinstance(t, float):
-            raise TypeError("exact path requires Fraction/int terms")
-        if not rows:
-            rows.append([Fraction(t)])
-        else:
-            rows[0].append(Fraction(t))
-            for k in range(1, n + 1):
-                if k == len(rows):
-                    rows.append([])
-                rows[k].append(rows[k - 1][-1] - rows[k - 1][-2])
-        increment = Fraction((-1) ** n) * rows[n][0] / Fraction(2 ** (n + 1))
-        value += increment
-        # exact termination: an all-zero difference row (>= 2 entries) forces
-        # every deeper row to vanish as well
-        for k in range(n + 1):
-            row = rows[k]
-            if len(row) >= 2 and all(v == 0 for v in row):
-                head = sum(
-                    (Fraction((-1) ** j) * rows[j][0] / Fraction(2 ** (j + 1))
-                     for j in range(k)),
-                    Fraction(0),
-                )
-                return AccelResult(head, n + 1, True)
-        if abs(float(increment)) <= tol * max(abs(float(value)), 1.0):
-            small_streak += 1
-            if small_streak >= 2:
-                return AccelResult(value, n + 1, False)
-        else:
-            small_streak = 0
-    raise NonConvergentError(f"no convergence or exact termination in {budget} terms")
-
-
-def _euler_transform_float(term_at, budget: int, tol: float) -> AccelResult:
-    diag: list[float] = []  # diag[i] = (D^i a)_{n-i} for the current n
-    total = 0.0
+    diag: list = []  # diag[i] = (D^i a)_{n-i} for the current n
+    total = Fraction(0) if exact else 0.0
     carry = 0.0  # Kahan compensation
     small_streak = 0
     for n in range(budget):
-        t = float(term_at(n))
-        if not math.isfinite(t):
-            raise DomainError(f"term {n} is not finite")
+        t = term_at(n)
+        if exact:
+            if isinstance(t, float):
+                raise TypeError("a declared degree requires Fraction/int terms")
+            t = Fraction(t)
+        else:
+            t = float(t)
+            if not math.isfinite(t):
+                raise DomainError(f"term {n} is not finite")
         new = [t]
         for i in range(1, n + 1):
             new.append(new[i - 1] - diag[i - 1])
         diag = new
+        if exact:
+            total += (-1) ** n * diag[n] / 2 ** (n + 1)
+            continue
         increment = ((-1.0) ** n) * diag[n] / 2.0 ** (n + 1)
         y = increment - carry
         s = total + y
@@ -317,6 +294,8 @@ def _euler_transform_float(term_at, budget: int, tol: float) -> AccelResult:
                 return AccelResult(total, n + 1, False)
         else:
             small_streak = 0
+    if exact:
+        return AccelResult(total, budget, True)
     raise NonConvergentError(f"no convergence in {budget} terms")
 
 

@@ -89,15 +89,15 @@ def _require_positive_x(x: float) -> None:
         raise DomainError(f"x must be > 0, got {x!r}")
 
 
-def euler_zeta(s: Union[int, float], x, *, tol: float = 1e-12,
-               max_terms: int = 500) -> Union[float, Fraction]:
+def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
     """Classical Euler zeta 2 sum (-1)^m (m+x)^(-s).
 
     For s = -n (integer n >= 0) the value is taken exactly: E_n(x) from
-    the polynomial recurrence, cross-checked against the exact Euler
-    transformation of the divergent series 2 sum (-1)^m (m+x)^n, which
-    must terminate at the same rational number.  Returns a Fraction on
-    this path.
+    the product form of `euler_poly_deg`, cross-checked against the exact
+    Euler transformation of the divergent series 2 sum (-1)^m (m+x)^n,
+    whose terms are a polynomial of degree n in m, so its n + 1 terms give
+    the Abel sum, which must be the same rational number.  Returns a
+    Fraction on this path.
 
     For other s the alternating series is summed with acceleration and a
     float comes back.
@@ -107,17 +107,14 @@ def euler_zeta(s: Union[int, float], x, *, tol: float = 1e-12,
         n = int(round(-float(s)))
         xf = x if isinstance(x, Fraction) else Fraction(x)
         value = euler_poly_deg(n, 0)(xf)
-        acc = euler_transform_sum(lambda m: (xf + m) ** n, exact=True,
-                                  max_terms=n + 8)
-        abel = 2 * acc.value
-        if not acc.terminated_exactly or abel != value:
+        abel = 2 * euler_transform_sum(lambda m: (xf + m) ** n, degree=n).value
+        if abel != value:
             raise ArithmeticError(
                 f"Abel sum {abel} disagrees with E_{n}({xf}) = {value}"
             )
         return value
     xr = float(x)
-    acc = euler_transform_sum(lambda m: (m + xr) ** (-s), tol=tol,
-                              max_terms=max_terms)
+    acc = euler_transform_sum(lambda m: (m + xr) ** (-s), max_terms=500)
     return 2.0 * acc.value
 
 
@@ -140,8 +137,7 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
     return QuadResult(q.value / g, q.abs_error_estimate / g, q.subdivisions)
 
 
-def zeta_deg_int(n: int, x: float, lam: float, *, tol: float = 1e-11,
-                 max_terms: int = 400) -> float:
+def zeta_deg_int(n: int, x: float, lam: float) -> float:
     """Degenerate Euler zeta at a positive integer s = n, closed-form terms.
 
     For lam in (0, 1/n) the gamma ratio in every series term collapses to
@@ -169,19 +165,17 @@ def zeta_deg_int(n: int, x: float, lam: float, *, tol: float = 1e-11,
             raise DomainError(f"term denominator vanishes at m={m}")
         return mpx**-n * pnum / den
 
-    acc = euler_transform_sum(term, tol=tol, max_terms=max_terms)
+    acc = euler_transform_sum(term, tol=1e-11)
     return 2.0 * acc.value
 
 
-def zeta_deg(s: float, x: float, lam: float, cfg: QuadConfig | None = None, *,
-             switchover: int = 32, tol: float = 1e-11,
-             max_terms: int = 400) -> float:
+def zeta_deg(s: float, x: float, lam: float, cfg: QuadConfig | None = None) -> float:
     """Degenerate Euler zeta by its gamma-ratio series.
 
     Sums 2 sum (-1)^m (m+x)^(-s) Gamma(s|l/(m+x)) / Gamma(s|l).  The
     denominator gamma is integrated once.  Numerator gammas are integrated
-    for m below the switchover index and replaced beyond it by the small-
-    parameter expansion (mu = l/(m+x) -> 0)
+    for m below the switchover index, 32, and replaced beyond it by the
+    small-parameter expansion (mu = l/(m+x) -> 0)
 
         Gamma(s|mu) = Gamma(s) + mu/2 Gamma(s+2)
                       + mu^2 (Gamma(s+4)/8 - Gamma(s+3)/3)
@@ -211,7 +205,7 @@ def zeta_deg(s: float, x: float, lam: float, cfg: QuadConfig | None = None, *,
     def expansion(mu: float) -> float:
         return g0 + mu * (e1 + mu * (e2 + mu * e3))
 
-    state = {"cut": switchover, "validated": False}
+    state = {"cut": 32, "validated": False}
 
     def gamma_num(m: int) -> float:
         mu = lam / (m + x)
@@ -228,7 +222,7 @@ def zeta_deg(s: float, x: float, lam: float, cfg: QuadConfig | None = None, *,
     def term(m: int) -> float:
         return (m + x) ** (-s) * gamma_num(m) / denom
 
-    acc = euler_transform_sum(term, tol=tol, max_terms=max_terms)
+    acc = euler_transform_sum(term, tol=1e-11)
     return 2.0 * acc.value
 
 
@@ -267,13 +261,6 @@ def zeta_deg_mellin(s: float, x: float, lam: float,
     return QuadResult(value, err, num.subdivisions + den.subdivisions)
 
 
-def _neg_guards(n: int, lam: Fraction) -> None:
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if not (0 < lam < 1):
-        raise DomainError("lambda must be in (0,1)")
-
-
 def zeta_deg_neg(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     """Exact value of the degenerate Euler zeta at s = -n (scaled candidate).
 
@@ -281,15 +268,9 @@ def zeta_deg_neg(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     for n <= 1.  This is the candidate consistent with the analytic
     continuation (residue ratio of the split integrals).
     """
-    lamf = as_rational(lam)
-    xf = as_rational(x)
-    _neg_guards(n, lamf)
-    if not xf > 0:
-        raise DomainError("x must be > 0")
-    value = euler_poly_deg(n, -lamf)(xf)
-    for j in range(1, n):
-        value /= 1 + j * lamf
-    return value
+    plain = zeta_deg_neg_plain(n, x, lam)
+    lamf = Fraction(lam)  # already checked rational by zeta_deg_neg_plain
+    return plain / math.prod(1 + j * lamf for j in range(1, n))
 
 
 def zeta_deg_neg_plain(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
@@ -300,7 +281,10 @@ def zeta_deg_neg_plain(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     """
     lamf = as_rational(lam)
     xf = as_rational(x)
-    _neg_guards(n, lamf)
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if not (0 < lamf < 1):
+        raise DomainError("lambda must be in (0,1)")
     if not xf > 0:
         raise DomainError("x must be > 0")
     return euler_poly_deg(n, -lamf)(xf)

@@ -112,6 +112,22 @@ def test_table_bad_integer_cell_is_explicit_na(capsys):
     assert rows[2].split(",", 2)[2].startswith('"NA:')
 
 
+def test_table_json_and_text_layout(capsys):
+    grid = ("table", "--function", "gamma", "--grid", "n=1:3:3;lambda=0.1")
+    rc, out, _ = run_cli(capsys, *grid, "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["function"] == "gamma"
+    assert payload["columns"] == ["n", "lambda", "value", "abs_error_estimate"]
+    assert [row[:2] for row in payload["rows"]] == [
+        ["1.0", "0.1"], ["2.0", "0.1"], ["3.0", "0.1"]]
+    rc, out, _ = run_cli(capsys, *grid)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "n  lambda  value  abs_error_estimate"
+    assert lines[1:] == ["  ".join(row) for row in payload["rows"]]
+
+
 def test_table_missing_variable_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "table", "--function", "zeta",
                          "--grid", "s=1,2")
@@ -131,6 +147,24 @@ def test_verify_exactcore_passes(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert "failed=0" in lines[-1]
+
+
+def test_verify_csv_and_json_stdout(capsys):
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "exactcore",
+                         "--format", "csv")
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "status,check_id,residual,tolerance,anchor"
+    rows = lines[1:]
+    assert rows and all(row.startswith("PASS,") for row in rows)
+    rc, out, _ = run_cli(capsys, "verify", "--suite", "exactcore",
+                         "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert "wall_time_s" not in payload  # stdout stays byte-deterministic
+    assert (payload["suite"], payload["failed"]) == ("exactcore", 0)
+    assert [c["check_id"] for c in payload["checks"]] == [
+        row.split(",")[1] for row in rows]
 
 
 def test_verify_report_round_trips(tmp_path, capsys):

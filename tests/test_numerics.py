@@ -79,7 +79,7 @@ def test_quad_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_all_ones_gives_half_exactly():
-    r = euler_transform_sum(lambda m: F(1), exact=True)
+    r = euler_transform_sum(lambda m: F(1), degree=0)
     assert r.value == F(1, 2)
     assert r.terminated_exactly
 
@@ -93,7 +93,7 @@ def test_alternating_harmonic_ln2():
 
 def test_linear_terms_abel_sum():
     # 2 * sum (-1)^m (m + 1/2) = E_1(1/2) = 0
-    r = euler_transform_sum(lambda m: F(m) + F(1, 2), exact=True)
+    r = euler_transform_sum(lambda m: F(m) + F(1, 2), degree=1)
     assert r.terminated_exactly
     assert 2 * r.value == 0
 
@@ -101,7 +101,7 @@ def test_linear_terms_abel_sum():
 def test_polynomial_termination_independent_of_max_terms():
     values = set()
     for max_terms in (6, 40, 400):
-        r = euler_transform_sum(lambda m: (F(m) + F(1, 3)) ** 2, exact=True,
+        r = euler_transform_sum(lambda m: (F(m) + F(1, 3)) ** 2, degree=2,
                                 max_terms=max_terms)
         assert r.terminated_exactly
         values.add(r.value)
@@ -116,14 +116,25 @@ def test_polynomial_termination_independent_of_max_terms():
 def test_polynomial_abel_sum_matches_euler_polynomial(n, x):
     from degzeta.exactcore import euler_poly_classic
 
-    r = euler_transform_sum(lambda m: (F(m) + x) ** n, exact=True)
+    r = euler_transform_sum(lambda m: (F(m) + x) ** n, degree=n)
     assert r.terminated_exactly
     assert 2 * r.value == euler_poly_classic(n)(x)
 
 
 def test_exact_path_rejects_floats():
     with pytest.raises(TypeError):
-        euler_transform_sum(lambda m: 1.0, exact=True)
+        euler_transform_sum(lambda m: 1.0, degree=0)
+
+
+def test_fraction_terms_without_degree_do_not_claim_exactness():
+    # 0, 0, 1/2, 1/3, ... sums to 1 - ln 2: two leading zeros prove nothing
+    terms = [F(0), F(0)] + [F(1, m) for m in range(2, 400)]
+    assert not euler_transform_sum(terms).terminated_exactly
+
+
+def test_declared_degree_needs_degree_plus_one_terms():
+    with pytest.raises(NonConvergentError):
+        euler_transform_sum([F(1), F(2), F(3)], degree=3)
 
 
 def test_sequence_input_and_nonconvergence():
