@@ -22,7 +22,7 @@ from itertools import product
 
 from .exactcore import euler_poly_deg
 from .gammadeg import gamma_deg
-from .numerics import DomainError, NonConvergentError, QuadConfig, QuadResult
+from .numerics import DomainError, NonConvergentError, QuadConfig
 from .verify import format_float, run_suite
 from .zetadeg import (
     euler_zeta,
@@ -32,7 +32,7 @@ from .zetadeg import (
     zeta_deg_int,
     zeta_deg_mellin,
     zeta_deg_neg,
-    zeta_deg_neg_plain,
+    zeta_deg_neg_candidates,
 )
 
 __all__ = ["main"]
@@ -45,11 +45,9 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
-def _cfg_from(args) -> QuadConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return QuadConfig()
-    return QuadConfig(rel_tol=tol)
+def _cfg_from(args) -> QuadConfig | None:
+    """The --tol setting; None leaves the library default."""
+    return None if args.tol is None else QuadConfig(rel_tol=args.tol)
 
 
 def _emit(args, payload: dict, text_lines: list[str],
@@ -110,7 +108,7 @@ def cmd_gamma(args) -> int:
 
 
 def _zeta_dispatch(method: str, s: float, x_raw: str, lam_raw: str,
-                   cfg: QuadConfig) -> tuple[str, str, str]:
+                   cfg: QuadConfig | None) -> tuple[str, str, str]:
     """Evaluate a zeta value; returns (value_str, err_str, method_used)."""
     x_rat = Fraction(x_raw)
     lam_rat = Fraction(lam_raw)
@@ -170,8 +168,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_zeta_neg(args) -> int:
-    scaled = zeta_deg_neg(args.n, args.x, args.lam)
-    plain = zeta_deg_neg_plain(args.n, args.x, args.lam)
+    scaled, plain = zeta_deg_neg_candidates(args.n, args.x, args.lam)
     payload = {"n": args.n, "x": str(args.x), "lambda": str(args.lam),
                "value_scaled": str(scaled), "value_plain": str(plain)}
     _emit(args, payload, [
@@ -192,8 +189,9 @@ def _parse_grid(text: str) -> list[tuple[str, list[str]]]:
     """Parse "n=1:4:4;lambda=0.1,0.2" into ordered (name, values) pairs.
 
     A values entry is either a comma-separated list or lo:hi:count for an
-    inclusive linear range.  Row order of the emitted table is the
-    lexicographic product in the order the variables are given.
+    inclusive linear range; each variable is given once.  Row order of the
+    emitted table is the lexicographic product in the order the variables
+    are given.
     """
     axes: list[tuple[str, list[str]]] = []
     for part in filter(None, (p.strip() for p in text.split(";"))):
@@ -202,6 +200,8 @@ def _parse_grid(text: str) -> list[tuple[str, list[str]]]:
         if name not in _GRID_VARS:
             raise DomainError(f"unknown grid variable {name!r}; "
                               f"expected one of {_GRID_VARS}")
+        if any(name == seen for seen, _ in axes):
+            raise DomainError(f"grid variable {name!r} given twice")
         values = values.strip()
         if not values:
             raise DomainError(f"no values for grid variable {name!r}")
@@ -233,7 +233,7 @@ def _grid_int(text: str) -> int:
 
 
 def _table_cell(function: str, point: dict[str, str],
-                cfg: QuadConfig) -> tuple[str, str]:
+                cfg: QuadConfig | None) -> tuple[str, str]:
     try:
         if function == "gamma":
             s = float(Fraction(point["s"])) if "s" in point else float(point["n"])

@@ -113,7 +113,7 @@ def gamma_classical(s: float, cfg: QuadConfig | None = None) -> float:
     return _gamma_classical_cached(float(s), cfg or QuadConfig())
 
 
-def funceq_residual(s: float, lam: float, cfg: QuadConfig | None = None) -> float:
+def funceq_residual(s: float, lam: float) -> float:
     """Relative residual of Gamma(s+1|lam) = s (1-lam)^(-(s+1)) Gamma(s|lam/(1-lam)).
 
     Both sides are evaluated by independent quadratures.  Preconditions
@@ -125,13 +125,12 @@ def funceq_residual(s: float, lam: float, cfg: QuadConfig | None = None) -> floa
     _check_domain(s + 1.0, lam)
     lam2 = lam / (1.0 - lam)
     _check_domain(s, lam2)
-    lhs = gamma_deg(s + 1.0, lam, cfg).value
-    rhs = s * (1.0 - lam) ** (-(s + 1.0)) * gamma_deg(s, lam2, cfg).value
+    lhs = gamma_deg(s + 1.0, lam).value
+    rhs = s * (1.0 - lam) ** (-(s + 1.0)) * gamma_deg(s, lam2).value
     return abs(lhs - rhs) / abs(lhs)
 
 
-def funceq_chain_residual(s: float, lam: float, n: int,
-                          cfg: QuadConfig | None = None) -> float:
+def funceq_chain_residual(s: float, lam: float, n: int) -> float:
     """Relative residual of the n-fold chained functional equation.
 
     Checks
@@ -150,7 +149,7 @@ def funceq_chain_residual(s: float, lam: float, n: int,
     lam2 = lam / scale
     _check_domain(s + 1.0, lam)
     _check_domain(s - (n + 1), lam2)
-    lhs = gamma_deg(s + 1.0, lam, cfg).value / gamma_deg(s - (n + 1), lam2, cfg).value
+    lhs = gamma_deg(s + 1.0, lam).value / gamma_deg(s - (n + 1), lam2).value
     num = 1.0
     for j in range(n + 2):
         num *= s - j
@@ -161,7 +160,7 @@ def funceq_chain_residual(s: float, lam: float, n: int,
     return abs(lhs - rhs) / abs(rhs)
 
 
-def gamma_deg_via_chain(n: int, lam: float, cfg: QuadConfig | None = None) -> float:
+def gamma_deg_via_chain(n: int, lam: float) -> float:
     """Gamma(n+3|lam) reconstructed through the chained functional equation.
 
     Steps the argument down to 1 and evaluates only the remaining
@@ -180,7 +179,7 @@ def gamma_deg_via_chain(n: int, lam: float, cfg: QuadConfig | None = None) -> fl
     den = 1.0
     for j in range(1, n + 2):
         den *= 1.0 - j * lam
-    g1 = gamma_deg(1.0, lam / scale, cfg).value
+    g1 = gamma_deg(1.0, lam / scale).value
     return math.factorial(n + 2) / den * scale**-2.0 * g1
 
 

@@ -49,26 +49,26 @@ class NonConvergentError(ArithmeticError):
     """The iteration budget was exhausted before the tolerance was met."""
 
 
+_ABS_FLOOR = 1e-14
+_MAX_BISECTIONS = 2000
+_SPLIT_T = 1.0
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances and budget for the adaptive quadrature engine.
+    """Relative tolerance of the adaptive quadrature engine.
 
-    Defaults leave two orders of headroom over the 1e-8 checks the
-    verification suite runs at.
+    The default leaves two orders of headroom over the 1e-8 checks the
+    verification suite runs at.  The absolute tolerance (1e-14), the
+    budget of 2000 subdivisions and the split at t = 1 are fixed.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-    split_point: float = 1.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not self.split_point > 0:
-            raise ValueError("split_point must be > 0")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(
+                f"rel_tol must be positive and finite, got {self.rel_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     """Adaptive Gauss-Kronrod integration of f on the finite interval [a, b].
 
     Bisects the interval with the largest error estimate until the summed
-    estimate meets max(abs_tol, rel_tol * |integral|).
+    estimate meets max(_ABS_FLOOR, cfg.rel_tol * |integral|), within
+    _MAX_BISECTIONS bisections.
 
     Raises:
         NonConvergentError: budget exhausted with the error above tolerance.
@@ -158,8 +159,8 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     counter = 0
     heap = [(-err, counter, a, b, val, err)]
     subdivisions = 0
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-        if subdivisions >= cfg.max_subdivisions:
+    while total_err > max(_ABS_FLOOR, cfg.rel_tol * abs(total_val)):
+        if subdivisions >= _MAX_BISECTIONS:
             raise NonConvergentError(
                 f"quadrature error {total_err:.3e} above tolerance after "
                 f"{subdivisions} subdivisions"
@@ -189,7 +190,6 @@ def quad_tail(f: Callable[[float], float], a: float,
     int_0^(1/(1+a)) f((1-u)/u) / u^2 du; the endpoint u = 0 is never
     sampled since Kronrod nodes are interior.
     """
-    cfg = cfg or QuadConfig()
     if a < 0:
         raise DomainError("lower bound must be >= 0")
 
@@ -202,16 +202,16 @@ def quad_tail(f: Callable[[float], float], a: float,
 
 def quad_semi_infinite(f: Callable[[float], float],
                        cfg: QuadConfig | None = None) -> QuadResult:
-    """Integral of f over (0, inf), split at cfg.split_point.
+    """Integral of f over (0, inf), split at t = 1 (_SPLIT_T).
 
-    The head [0, split] is integrated directly (integrable endpoint
+    The head [0, 1] is integrated directly (integrable endpoint
     singularities like t^(s-1), s > 0, are resolved by bisection); the
-    tail is compactified by u = 1/(1+t).  Error estimates and subdivision
+    tail [1, inf) is compactified by u = 1/(1+t).  Each piece gets its
+    own budget of _MAX_BISECTIONS; error estimates and subdivision
     counts of the two pieces are summed.
     """
-    cfg = cfg or QuadConfig()
-    head = quad_finite(f, 0.0, cfg.split_point, cfg)
-    tail = quad_tail(f, cfg.split_point, cfg)
+    head = quad_finite(f, 0.0, _SPLIT_T, cfg)
+    tail = quad_tail(f, _SPLIT_T, cfg)
     return QuadResult(
         head.value + tail.value,
         head.abs_error_estimate + tail.abs_error_estimate,

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from . import exactcore, gammadeg, zetadeg
-from .numerics import QuadConfig
 
 __all__ = ["CheckResult", "VerifyReport", "SUITES", "run_suite", "format_float"]
 
@@ -229,15 +228,14 @@ _ANCHOR_RESIDUE = (
 )
 
 
-def suite_gamma(cfg: QuadConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or QuadConfig()
+def suite_gamma() -> list[CheckResult]:
     checks = []
     for n in range(1, 7):
         for lam in (Fraction(1, 20), Fraction(1, 10)):
             if not lam < Fraction(1, n):
                 continue
             closed = gammadeg.gamma_deg_closed(n, lam)
-            quad = gammadeg.gamma_deg(float(n), float(lam), cfg)
+            quad = gammadeg.gamma_deg(float(n), float(lam))
             checks.append(_tol_check(
                 f"gamma_closed/n={n},lam={lam}",
                 _ANCHOR_GAMMA_CLOSED,
@@ -247,7 +245,7 @@ def suite_gamma(cfg: QuadConfig | None = None) -> list[CheckResult]:
 
     for s in (0.3, 0.7, 1.5):
         for lam in (0.1, 0.2):
-            res = gammadeg.funceq_residual(s, lam, cfg)
+            res = gammadeg.funceq_residual(s, lam)
             checks.append(_residual_check(
                 f"funceq/s={s},lam={lam}",
                 _ANCHOR_FUNCEQ,
@@ -255,7 +253,7 @@ def suite_gamma(cfg: QuadConfig | None = None) -> list[CheckResult]:
                 res, 1e-8,
             ))
 
-    res = gammadeg.funceq_chain_residual(3.5, 0.05, 1, cfg)
+    res = gammadeg.funceq_chain_residual(3.5, 0.05, 1)
     checks.append(_residual_check(
         "funceq_chain/n=1,s=3.5,lam=0.05",
         _ANCHOR_CHAIN,
@@ -263,7 +261,7 @@ def suite_gamma(cfg: QuadConfig | None = None) -> list[CheckResult]:
         res, 1e-7,
     ))
 
-    chain_val = gammadeg.gamma_deg_via_chain(1, 0.05, cfg)
+    chain_val = gammadeg.gamma_deg_via_chain(1, 0.05)
     closed4 = float(gammadeg.gamma_deg_closed(4, Fraction(1, 20)))
     checks.append(_tol_check(
         "chain_closed_path/n=1,lam=0.05",
@@ -274,9 +272,9 @@ def suite_gamma(cfg: QuadConfig | None = None) -> list[CheckResult]:
 
     lam = 1e-3
     for s in (0.5, 1.5):
-        g = gammadeg.gamma_classical(s, cfg)
-        g2 = gammadeg.gamma_classical(s + 2.0, cfg)
-        ratio = (gammadeg.gamma_deg(s, lam, cfg).value - g) / lam / (g2 / 2.0)
+        g = gammadeg.gamma_classical(s)
+        g2 = gammadeg.gamma_classical(s + 2.0)
+        ratio = (gammadeg.gamma_deg(s, lam).value - g) / lam / (g2 / 2.0)
         checks.append(_tol_check(
             f"gamma_limit_law/s={s}",
             _ANCHOR_LIMIT_LAW,
@@ -316,10 +314,9 @@ _ANCHOR_CROSS = (
 _ANCHOR_NEG_LIMIT = "lim_{l->0} zeta_E(-n,x|l) == E_n(x)"
 
 
-def suite_zeta(cfg: QuadConfig | None = None) -> list[CheckResult]:
+def suite_zeta() -> list[CheckResult]:
     import math
 
-    cfg = cfg or QuadConfig()
     checks = []
     for x in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         bad = []
@@ -346,20 +343,20 @@ def suite_zeta(cfg: QuadConfig | None = None) -> list[CheckResult]:
         "zeta_mellin_pi2_6",
         _ANCHOR_PI26,
         {"s": 2, "x": 1},
-        math.pi**2 / 6.0, zetadeg.euler_zeta_mellin(2.0, 1.0, cfg).value, 1e-8,
+        math.pi**2 / 6.0, zetadeg.euler_zeta_mellin(2.0, 1.0).value, 1e-8,
     ))
 
     for (n, x, lam) in ((2, 1.0, 0.1), (3, 2.0, 0.05)):
         vi = zetadeg.zeta_deg_int(n, x, lam)
-        vm = zetadeg.zeta_deg_mellin(float(n), x, lam, cfg).value
+        vm = zetadeg.zeta_deg_mellin(float(n), x, lam).value
         checks.append(_tol_check(
             f"cross_repr_int/n={n},x={x:g},lam={lam:g}",
             _ANCHOR_CROSS,
             {"n": n, "x": x, "lambda": lam},
             vm, vi, 1e-6,
         ))
-    vs = zetadeg.zeta_deg(2.5, 1.0, 0.1, cfg)
-    vm = zetadeg.zeta_deg_mellin(2.5, 1.0, 0.1, cfg).value
+    vs = zetadeg.zeta_deg(2.5, 1.0, 0.1)
+    vm = zetadeg.zeta_deg_mellin(2.5, 1.0, 0.1).value
     checks.append(_tol_check(
         "cross_repr_s/s=2.5,x=1,lam=0.1",
         _ANCHOR_CROSS,
@@ -390,13 +387,12 @@ _ANCHOR_DISC = (
 )
 
 
-def suite_discrepancy(cfg: QuadConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or QuadConfig()
+def suite_discrepancy() -> list[CheckResult]:
     checks = []
     for (n, x, lam) in ((2, Fraction(1), Fraction(1, 4)),
                         (2, Fraction(2), Fraction(1, 10)),
                         (3, Fraction(1), Fraction(1, 10))):
-        rep = zetadeg.discrepancy_experiment(n, x, lam, cfg)
+        rep = zetadeg.discrepancy_experiment(n, x, lam)
         dist = abs(rep.value_continued - float(rep.value_scaled))
         ok = rep.winner == "scaled" and dist <= 1e-4
         checks.append(CheckResult(

@@ -73,6 +73,7 @@ __all__ = [
     "zeta_deg_mellin",
     "zeta_deg_neg",
     "zeta_deg_neg_plain",
+    "zeta_deg_neg_candidates",
     "gamma_deg_continued",
     "zeta_deg_continued",
     "DiscrepancyReport",
@@ -127,7 +128,6 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
     if not s > 0:
         raise DomainError("Mellin path needs s > 0")
     _require_positive_x(x)
-    cfg = cfg or QuadConfig()
     g = gamma_classical(s, cfg)
 
     def integrand(t: float) -> float:
@@ -187,7 +187,6 @@ def zeta_deg(s: float, x: float, lam: float, cfg: QuadConfig | None = None) -> f
     quadrature at the switchover index; on failure the switchover doubles
     and quadrature continues.
     """
-    cfg = cfg or QuadConfig()
     _require_positive_x(x)
     if not (0.0 < lam < 1.0):
         raise DomainError("lambda must be in (0,1)")
@@ -245,7 +244,6 @@ def zeta_deg_mellin(s: float, x: float, lam: float,
     decays like t^(-x/l), so s < x/l - delta is enforced on top of the
     gamma domain.
     """
-    cfg = cfg or QuadConfig()
     _require_positive_x(x)
     if not (0.0 < lam < 1.0):
         raise DomainError("lambda must be in (0,1)")
@@ -268,9 +266,15 @@ def zeta_deg_neg(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     for n <= 1.  This is the candidate consistent with the analytic
     continuation (residue ratio of the split integrals).
     """
+    return zeta_deg_neg_candidates(n, x, lam)[0]
+
+
+def zeta_deg_neg_candidates(n: int, x: RationalLike,
+                            lam: RationalLike) -> tuple[Fraction, Fraction]:
+    """Both candidates at s = -n, (scaled, plain), from one E_n(x|-l)."""
     plain = zeta_deg_neg_plain(n, x, lam)
     lamf = Fraction(lam)  # already checked rational by zeta_deg_neg_plain
-    return plain / math.prod(1 + j * lamf for j in range(1, n))
+    return plain / math.prod(1 + j * lamf for j in range(1, n)), plain
 
 
 def zeta_deg_neg_plain(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
@@ -353,7 +357,7 @@ def _pole_distance_ok(s: float) -> None:
 
 
 def _split_mellin(s: float, coeffs: tuple[float, ...], kern,
-                  cfg: QuadConfig) -> tuple[float, float]:
+                  cfg: QuadConfig | None = None) -> tuple[float, float]:
     if s <= -(len(coeffs) - 5):
         raise DomainError(f"s={s!r} below the continued strip")
     pole_part = 0.0
@@ -363,22 +367,20 @@ def _split_mellin(s: float, coeffs: tuple[float, ...], kern,
     return pole_part + tail.value, tail.abs_error_estimate
 
 
-def gamma_deg_continued(s: float, lam: float,
-                        cfg: QuadConfig | None = None) -> float:
+def gamma_deg_continued(s: float, lam: float) -> float:
     """Gamma(s|lam) continued left of 0 by the split-integral representation.
 
     Agrees with `gamma_deg` on 0 < s < 1/lam and is finite elsewhere away
     from the simple poles at non-positive integers (residues:
     `gamma_deg_residue`).
     """
-    cfg = cfg or QuadConfig()
     if not (0.0 < lam < 1.0):
         raise DomainError("lambda must be in (0,1)")
     if not s < 1.0 / lam - DOMAIN_MARGIN:
         raise DomainError("s too close to the divergence threshold 1/lambda")
     _pole_distance_ok(s)
     lamf = Fraction(lam)
-    value, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam), cfg)
+    value, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam))
     return value
 
 
@@ -393,7 +395,6 @@ def zeta_deg_continued(s: float, x: float, lam: float,
     because the [0,1] piece is integrated termwise to negligible
     truncation).
     """
-    cfg = cfg or QuadConfig()
     _require_positive_x(x)
     if not (0.0 < lam < 1.0):
         raise DomainError("lambda must be in (0,1)")
@@ -429,8 +430,8 @@ class DiscrepancyReport:
     error_estimate: float
 
 
-def discrepancy_experiment(n: int, x: RationalLike, lam: RationalLike,
-                           cfg: QuadConfig | None = None) -> DiscrepancyReport:
+def discrepancy_experiment(n: int, x: RationalLike,
+                           lam: RationalLike) -> DiscrepancyReport:
     """Decide numerically which negative-integer closed form continues the zeta.
 
     Extrapolates zeta_deg_continued(-n+eps, x, lam) to eps -> 0 by
@@ -447,8 +448,7 @@ def discrepancy_experiment(n: int, x: RationalLike, lam: RationalLike,
         raise DomainError("x must be >= 1")
     if not (0 < lamf < 1):
         raise DomainError("lambda must be in (0,1)")
-    scaled = zeta_deg_neg(n, xf, lamf)
-    plain = zeta_deg_neg_plain(n, xf, lamf)
+    scaled, plain = zeta_deg_neg_candidates(n, xf, lamf)
     xr = float(xf)
     lr = float(lamf)
 
@@ -457,7 +457,7 @@ def discrepancy_experiment(n: int, x: RationalLike, lam: RationalLike,
 
     def sample(eps: float) -> float:
         if eps not in samples:
-            samples[eps] = zeta_deg_continued(-float(n) + eps, xr, lr, cfg)
+            samples[eps] = zeta_deg_continued(-float(n) + eps, xr, lr)
         return samples[eps]
 
     value = richardson_limit(sample, 1e-2, 2.0, 3)

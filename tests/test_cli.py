@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from degzeta import zetadeg
 from degzeta.cli import main
-from degzeta.verify import VerifyReport
+from degzeta.verify import VerifyReport, format_float
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +64,56 @@ def test_zeta_mellin_method(capsys):
     payload = json.loads(out)
     assert abs(float(payload["value"]) - 1.6958056754) < 1e-6
     assert "abs_error_estimate" in payload
+
+
+@pytest.mark.parametrize("s, method, used, expected", [
+    ("-1.5", "auto", "continued", "2.5576800537332495e-01"),
+    ("2", "int", "int", format_float(zetadeg.zeta_deg_int(2, 1.0, 0.1))),
+    ("0.5", "continued", "continued",
+     format_float(zetadeg.zeta_deg_continued(0.5, 1.0, 0.1))),
+    # used None: the route refuses s; expected is the error it names
+    ("-1.5", "exact-neg", None, "exact-neg path needs an integer s <= 0"),
+    ("-2", "series", None, "series path needs s > 0"),
+    ("1.5", "int", None, "int path needs an integer s >= 1"),
+])
+def test_zeta_routes(capsys, s, method, used, expected):
+    rc, out, err = run_cli(capsys, "zeta", "--s", s, "--x", "1", "--lambda", "0.1",
+                           "--method", method, "--format", "json")
+    if used is None:
+        assert rc == 2
+        assert expected in err
+        return
+    assert rc == 0
+    payload = json.loads(out)
+    assert (payload["method"], payload["value"]) == (used, expected)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--s", "2.5", "--x", "1", "--lambda", "0.1"],
+    ["gamma", "--s", "1.5", "--lambda", "0.2"],
+])
+def test_non_finite_tol_is_usage_error(capsys, argv, tol):
+    rc, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert "rel_tol must be positive and finite" in err
+
+
+def test_zeta_neg_builds_euler_polynomial_once(capsys, monkeypatch):
+    builds = []
+    build = zetadeg.euler_poly_deg
+
+    def counted(n, lam):
+        builds.append((n, lam))
+        return build(n, lam)
+
+    monkeypatch.setattr(zetadeg, "euler_poly_deg", counted)
+    rc, out, _ = run_cli(capsys, "zeta-neg", "--n", "8", "--x", "5/4",
+                         "--lambda", "3/7")
+    assert rc == 0
+    assert builds == [(8, -Fraction(3, 7))]
+    assert out.splitlines()[0].startswith("scaled = ")
 
 
 def test_zeta_neg_reports_both_candidates(capsys):
@@ -126,6 +178,14 @@ def test_table_json_and_text_layout(capsys):
     lines = out.splitlines()
     assert lines[0] == "n  lambda  value  abs_error_estimate"
     assert lines[1:] == ["  ".join(row) for row in payload["rows"]]
+
+
+def test_table_repeated_variable_is_usage_error(capsys):
+    rc, out, err = run_cli(capsys, "table", "--function", "zeta",
+                           "--grid", "s=0.5;lambda=0.1;s=1;x=1")
+    assert rc == 2
+    assert out == ""
+    assert "grid variable 's' given twice" in err
 
 
 def test_table_missing_variable_is_usage_error(capsys):

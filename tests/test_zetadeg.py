@@ -255,6 +255,23 @@ def test_discrepancy_evaluates_each_point_once(monkeypatch):
     assert rep.winner == "scaled"
 
 
+def test_discrepancy_builds_euler_polynomial_once(monkeypatch):
+    from degzeta import zetadeg
+
+    builds = []
+    build = zetadeg.euler_poly_deg
+
+    def counted(n, lam):
+        builds.append((n, lam))
+        return build(n, lam)
+
+    monkeypatch.setattr(zetadeg, "euler_poly_deg", counted)
+    rep = zetadeg.discrepancy_experiment(3, 1, F(1, 4))
+    assert builds == [(3, F(-1, 4))]
+    assert rep.value_plain == build(3, F(-1, 4))(1)
+    assert rep.winner == "scaled"
+
+
 def test_discrepancy_rejects_degenerate_order():
     with pytest.raises(DomainError):
         discrepancy_experiment(1, 1, F(1, 4))
