@@ -140,7 +140,7 @@ def _zeta_dispatch(method: str, s: float, x_raw: str, lam_raw: str,
             raise DomainError("series path needs s > 0 when lambda > 0")
         if float(s).is_integer():
             return format_float(zeta_deg_int(int(s), x, lam)), "", "int"
-        return format_float(zeta_deg(s, x, lam, cfg)), "", "series"
+        return format_float(zeta_deg(s, x, lam)), "", "series"
     if method == "mellin":
         q = euler_zeta_mellin(s, x, cfg) if lam_rat == 0 \
             else zeta_deg_mellin(s, x, lam, cfg)

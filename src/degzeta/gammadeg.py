@@ -7,7 +7,9 @@ quadrature evaluator, the exact closed form at positive integers
 
     Gamma(n|l) = (n-1)! / ((1-l)(1-2l)...(1-nl)),       0 < l < 1/n,
 
-residual checks for the functional equation
+the gamma ratio behind the real-s closed form Gamma(s|l) = l^(-s) Gamma(s)
+Gamma(1/l - s) / Gamma(1/l) (u = lt), residual checks for the functional
+equation
 
     Gamma(s+1|l) = s (1-l)^(-(s+1)) Gamma(s | l/(1-l))
 
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactcore import RationalLike, TruncatedSeries, as_rational, ffd, kernel_series
 from .numerics import DomainError, QuadConfig, QuadResult, quad_semi_infinite
@@ -93,24 +94,26 @@ def gamma_deg_closed(n: int, lam: RationalLike) -> Fraction:
     return Fraction(math.factorial(n - 1)) / den
 
 
-@lru_cache(maxsize=None)
-def _gamma_classical_cached(s: float, cfg: QuadConfig) -> float:
-    q = quad_semi_infinite(lambda t: math.exp(-t) * t ** (s - 1.0), cfg)
-    return q.value
-
-
-def gamma_classical(s: float, cfg: QuadConfig | None = None) -> float:
-    """Classical Gamma(s) for s > 0: factorial at integers, quadrature otherwise.
-
-    Deliberately self-contained (no special-function dependency) so the
-    limit checks against Gamma(s|lam) stay within this library's own
-    machinery.
-    """
+def gamma_classical(s: float) -> float:
+    """Classical Gamma(s) for s > 0 (`math.gamma`, independent of `gamma_deg`)."""
     if not s > 0:
         raise DomainError("classical gamma evaluated only for s > 0 here")
-    if float(s).is_integer():
-        return float(math.factorial(int(s) - 1))
-    return _gamma_classical_cached(float(s), cfg or QuadConfig())
+    return math.gamma(s)
+
+
+def _gamma_ratio(b: float, lam: float, s: float) -> float:
+    """Gamma(a - s) / Gamma(a), a = b/lam: the ratio in Gamma(s|lam/b).
+
+    1/prod_j ((b - j*lam)/lam) at a positive integer s (ZeroDivisionError
+    if a factor vanishes); else `math.gamma`, which keeps the sign at
+    negative arguments, or an `lgamma` difference for a - s > 0.
+    """
+    if s > 0 and float(s).is_integer():
+        return 1.0 / math.prod((b - j * lam) / lam for j in range(1, int(s) + 1))
+    a = b / lam
+    if max(a, a - s) < 170.0:  # math.gamma overflows above 171.6
+        return math.gamma(a - s) / math.gamma(a)
+    return math.exp(math.lgamma(a - s) - math.lgamma(a))
 
 
 def funceq_residual(s: float, lam: float) -> float:

@@ -16,7 +16,7 @@ after d + 1 terms when a_m is a polynomial in m of degree d, yielding the
 Abel sum of the (divergent) series exactly.  Differences are exact only
 for a declared degree: the caller passes d, and d + 1 rational terms give
 the Abel sum as a Fraction.  Without a declared degree the terms are
-floats and the sum stops on a tolerance.
+floats and the sum stops on a relative tolerance.
 """
 
 from __future__ import annotations
@@ -160,7 +160,9 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     heap = [(-err, counter, a, b, val, err)]
     subdivisions = 0
     while total_err > max(_ABS_FLOOR, cfg.rel_tol * abs(total_val)):
+        # a kept error's traceback keeps this frame, so drop the heap first
         if subdivisions >= _MAX_BISECTIONS:
+            heap.clear()
             raise NonConvergentError(
                 f"quadrature error {total_err:.3e} above tolerance after "
                 f"{subdivisions} subdivisions"
@@ -169,6 +171,7 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # interval is at machine resolution; nothing left to refine
+            heap.clear()
             raise NonConvergentError("interval underflow before reaching tolerance")
         v1, e1 = _gk_panel(f, lo, mid)
         v2, e2 = _gk_panel(f, mid, hi)
@@ -288,7 +291,7 @@ def euler_transform_sum(a: TermSource, *, tol: float = 1e-12,
         s = total + y
         carry = (s - total) - y
         total = s
-        if abs(increment) <= tol * max(abs(total), 1.0):
+        if abs(increment) < tol * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return AccelResult(total, n + 1, False)

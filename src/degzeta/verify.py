@@ -7,8 +7,9 @@ checked so a failure is traceable to a formula.  Suites:
 
     exactcore   recurrence/series equivalence and the alternating-sum
                 identity adjudication (exact arithmetic; zero tolerance)
-    gamma       integer closed form, functional equation + chain, the
-                l -> 0 first-order law, and the residues
+    gamma       integer closed form, the real-s closed form against
+                quadrature and the continuation, functional equation +
+                chain, the l -> 0 first-order law, and the residues
     zeta        classical interpolation, cross-representation agreement,
                 and the l -> 0 limit at negative integers
     discrepancy the continuation experiment deciding between the two
@@ -20,6 +21,7 @@ Exit semantics live in the CLI: 0 iff every check passes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -214,6 +216,7 @@ def suite_exactcore() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 _ANCHOR_GAMMA_CLOSED = "Gamma(n|l) == (n-1)! / ((1-l)(1-2l)...(1-nl))"
+_ANCHOR_GAMMA_BETA = "Gamma(s|l) == l^-s Gamma(s) Gamma(1/l-s) / Gamma(1/l)"
 _ANCHOR_FUNCEQ = "Gamma(s+1|l) == s (1-l)^-(s+1) Gamma(s|l/(1-l))"
 _ANCHOR_CHAIN = (
     "Gamma(s+1|l)/Gamma(s-(n+1)|l/(1-(n+2)l)) == "
@@ -242,6 +245,22 @@ def suite_gamma() -> list[CheckResult]:
                 {"n": n, "lambda": str(lam)},
                 float(closed), quad.value, 1e-8, relative=True,
             ))
+
+    def beta_form(s: float, lam: float) -> float:
+        # math.gamma(s) carries the sign at negative s
+        return lam**-s * math.gamma(s) * gammadeg._gamma_ratio(1.0, lam, s)
+
+    points = [("quad", s, lam, gammadeg.gamma_deg(s, lam).value)
+              for s in (0.3, 1.5, 2.7) for lam in (0.1, 0.2)]
+    points += [("continued", s, 0.1, zetadeg.gamma_deg_continued(s, 0.1))
+               for s in (-0.5, -1.5, -2.7)]
+    for route, s, lam, value in points:
+        checks.append(_tol_check(
+            f"gamma_beta_{route}/s={s},lam={lam}",
+            _ANCHOR_GAMMA_BETA,
+            {"s": s, "lambda": lam},
+            value, beta_form(s, lam), 1e-8, relative=True,
+        ))
 
     for s in (0.3, 0.7, 1.5):
         for lam in (0.1, 0.2):
@@ -315,8 +334,6 @@ _ANCHOR_NEG_LIMIT = "lim_{l->0} zeta_E(-n,x|l) == E_n(x)"
 
 
 def suite_zeta() -> list[CheckResult]:
-    import math
-
     checks = []
     for x in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         bad = []
@@ -362,6 +379,14 @@ def suite_zeta() -> list[CheckResult]:
         _ANCHOR_CROSS,
         {"s": 2.5, "x": 1.0, "lambda": 0.1},
         vm, vs, 1e-5,
+    ))
+    vs = zetadeg.zeta_deg(15.0, 3.0, 0.05)
+    vm = zetadeg.zeta_deg_mellin(15.0, 3.0, 0.05).value
+    checks.append(_tol_check(
+        "cross_repr_rel/s=15,x=3,lam=0.05",
+        _ANCHOR_CROSS,
+        {"s": 15.0, "x": 3.0, "lambda": 0.05},
+        vm, vs, 1e-8, relative=True,
     ))
 
     lam = Fraction(1, 1000)

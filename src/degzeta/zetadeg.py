@@ -15,8 +15,8 @@ The degenerate variant replaces e^(-t) weights by (1+lt)^(-...) kernels:
     F(-t,x|-l)    = 2 (1+lt)^(-x/l) / ((1+lt)^(-1/l) + 1),
 
 with the equivalent series form 2 sum (-1)^m (m+x)^(-s)
-Gamma(s|l/(m+x)) / Gamma(s|l).  Several independent evaluation routes are
-provided (series, Mellin quadrature, integer closed form, split-integral
+Gamma(s|l/(m+x)) / Gamma(s|l), a sum of classical gamma ratios.  Several
+independent routes are provided (series, Mellin quadrature, split-integral
 analytic continuation), and the suite checks them against each other.
 
 At negative integers two closed-form candidates circulate:
@@ -49,6 +49,8 @@ from .exactcore import (
 )
 from .gammadeg import (
     DOMAIN_MARGIN,
+    _check_domain,
+    _gamma_ratio,
     deg_kernel,
     gamma_classical,
     gamma_deg,
@@ -100,8 +102,8 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
     the Abel sum, which must be the same rational number.  Returns a
     Fraction on this path.
 
-    For other s the alternating series is summed with acceleration and a
-    float comes back.
+    For other s the alternating series is summed with acceleration to a
+    relative tolerance and a float comes back.
     """
     _require_positive_x(float(x))
     if float(s).is_integer() and s <= 0:
@@ -114,9 +116,10 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
                 f"Abel sum {abel} disagrees with E_{n}({xf}) = {value}"
             )
         return value
+    # scaled by x^s, so a value below the float range underflows only at the end
     xr = float(x)
-    acc = euler_transform_sum(lambda m: (m + xr) ** (-s), max_terms=500)
-    return 2.0 * acc.value
+    acc = euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s), max_terms=500)
+    return 2.0 * acc.value * xr ** (-s)
 
 
 def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> QuadResult:
@@ -128,7 +131,7 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
     if not s > 0:
         raise DomainError("Mellin path needs s > 0")
     _require_positive_x(x)
-    g = gamma_classical(s, cfg)
+    g = gamma_classical(s)
 
     def integrand(t: float) -> float:
         return 2.0 / (1.0 + math.exp(-t)) * math.exp(-x * t) * t ** (s - 1.0)
@@ -137,55 +140,46 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
     return QuadResult(q.value / g, q.abs_error_estimate / g, q.subdivisions)
 
 
+def _zeta_series(s: float, x: float, lam: float) -> float:
+    """2 Gamma(1/l)/Gamma(1/l-s) sum_m (-1)^m Gamma((m+x)/l - s)/Gamma((m+x)/l).
+
+    Every ratio in closed form (`_gamma_ratio`), summed with Euler
+    acceleration to a relative tolerance.  Callers check the domain.
+    """
+    def term(m: int) -> float:
+        try:
+            return _gamma_ratio(m + x, lam, s)
+        except ZeroDivisionError:
+            raise DomainError(f"term denominator vanishes at m={m}") from None
+
+    # 1e-13 keeps the sum within 1e-12 relative of the exact value
+    acc = euler_transform_sum(term, tol=1e-13)
+    return 2.0 * acc.value / _gamma_ratio(1.0, lam, s)
+
+
 def zeta_deg_int(n: int, x: float, lam: float) -> float:
-    """Degenerate Euler zeta at a positive integer s = n, closed-form terms.
+    """Degenerate Euler zeta at a positive integer s = n, lam in (0, 1/n).
 
-    For lam in (0, 1/n) the gamma ratio in every series term collapses to
-    a finite product, leaving
-
-        2 sum_m (-1)^m (m+x)^(-n) prod_{j=1..n} (1-j*lam)/(1-j*lam/(m+x)),
-
-    summed here with Euler acceleration; no quadrature is involved.
+    The series of `zeta_deg`, whose gamma ratios are finite products here:
+    2 prod_j (1/l - j) sum_m (-1)^m / prod_j ((m+x)/l - j), j = 1..n.
+    Unlike `zeta_deg`, x may lie below lam.
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError("n must be a positive integer")
     _require_positive_x(x)
     if not 0.0 < lam < 1.0 / n:
         raise DomainError(f"lambda must lie in (0, 1/{n})")
-    pnum = 1.0
-    for j in range(1, n + 1):
-        pnum *= 1.0 - j * lam
-
-    def term(m: int) -> float:
-        mpx = m + x
-        den = 1.0
-        for j in range(1, n + 1):
-            den *= 1.0 - j * lam / mpx
-        if den == 0.0:
-            raise DomainError(f"term denominator vanishes at m={m}")
-        return mpx**-n * pnum / den
-
-    acc = euler_transform_sum(term, tol=1e-11)
-    return 2.0 * acc.value
+    return _zeta_series(n, x, lam)
 
 
-def zeta_deg(s: float, x: float, lam: float, cfg: QuadConfig | None = None) -> float:
-    """Degenerate Euler zeta by its gamma-ratio series.
+def zeta_deg(s: float, x: float, lam: float) -> float:
+    """Degenerate Euler zeta by its gamma-ratio series, without quadrature.
 
-    Sums 2 sum (-1)^m (m+x)^(-s) Gamma(s|l/(m+x)) / Gamma(s|l).  The
-    denominator gamma is integrated once.  Numerator gammas are integrated
-    for m below the switchover index, 32, and replaced beyond it by the
-    small-parameter expansion (mu = l/(m+x) -> 0)
-
-        Gamma(s|mu) = Gamma(s) + mu/2 Gamma(s+2)
-                      + mu^2 (Gamma(s+4)/8 - Gamma(s+3)/3)
-                      + mu^3 (Gamma(s+4)/4 - Gamma(s+5)/6 + Gamma(s+6)/48)
-                      + O(mu^4),
-
-    from (1+mu t)^(-1/mu) = e^(-t) exp(mu t^2/2 - mu^2 t^3/3 + ...).  The
-    expansion is only trusted after a mandatory agreement check against
-    quadrature at the switchover index; on failure the switchover doubles
-    and quadrature continues.
+    Putting Gamma(s|mu) = mu^(-s) Gamma(s) Gamma(1/mu - s) / Gamma(1/mu)
+    (u = mu t in the integral) into 2 sum (-1)^m (m+x)^(-s)
+    Gamma(s|l/(m+x)) / Gamma(s|l) cancels (m+x)^(-s) and Gamma(s), which
+    leaves the series of `_zeta_series`.  The domain is that of every
+    term's integral: 0 < lam < min(1, x), 0 < s < min(1, x)/lam - delta.
     """
     _require_positive_x(x)
     if not (0.0 < lam < 1.0):
@@ -194,35 +188,8 @@ def zeta_deg(s: float, x: float, lam: float, cfg: QuadConfig | None = None) -> f
         raise DomainError("need 0 < s < 1/lambda")
     if not lam < x:
         raise DomainError("need lambda < x so every term's gamma parameter is in (0,1)")
-    denom = gamma_deg(s, lam, cfg).value
-    g0 = gamma_classical(s, cfg)
-    g2, g3, g4, g5, g6 = (gamma_classical(s + k, cfg) for k in (2, 3, 4, 5, 6))
-    e1 = g2 / 2.0
-    e2 = g4 / 8.0 - g3 / 3.0
-    e3 = g4 / 4.0 - g5 / 6.0 + g6 / 48.0
-
-    def expansion(mu: float) -> float:
-        return g0 + mu * (e1 + mu * (e2 + mu * e3))
-
-    state = {"cut": 32, "validated": False}
-
-    def gamma_num(m: int) -> float:
-        mu = lam / (m + x)
-        if state["validated"]:
-            return expansion(mu)
-        quad = gamma_deg(s, mu, cfg).value
-        if m + 1 >= state["cut"]:
-            if abs(quad - expansion(mu)) <= 1e-8 * max(1.0, abs(quad)):
-                state["validated"] = True
-            else:
-                state["cut"] *= 2
-        return quad
-
-    def term(m: int) -> float:
-        return (m + x) ** (-s) * gamma_num(m) / denom
-
-    acc = euler_transform_sum(term, tol=1e-11)
-    return 2.0 * acc.value
+    _check_domain(s, lam / x)  # Gamma(s|l/x) of the m = 0 term: s < x/l - delta
+    return _zeta_series(s, x, lam)
 
 
 def deg_euler_zeta_kernel(x: float, lam: float):

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -63,6 +65,26 @@ def test_quad_nonconvergent_budget():
     cfg = QuadConfig(rel_tol=1e-14)
     with pytest.raises(NonConvergentError, match="after 2000 subdivisions"):
         quad_finite(lambda t: t ** (-0.9), 0.0, 1.0, cfg)
+
+
+def test_kept_nonconvergent_error_does_not_pin_panels():
+    from degzeta.gammadeg import gamma_deg
+
+    kept = []
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            gamma_deg(0.5, 0.1, QuadConfig(rel_tol=1e-14))
+        except NonConvergentError as exc:
+            kept.append(exc)
+        gc.collect()
+        pinned = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 1
+    assert pinned < 50_000
 
 
 def test_quad_tail_matches_closed_form():
@@ -135,6 +157,15 @@ def test_fraction_terms_without_degree_do_not_claim_exactness():
     # 0, 0, 1/2, 1/3, ... sums to 1 - ln 2: two leading zeros prove nothing
     terms = [F(0), F(0)] + [F(1, m) for m in range(2, 400)]
     assert not euler_transform_sum(terms).terminated_exactly
+
+
+def test_float_stop_rule_is_relative():
+    # 0, 0, 1/2, 1/3, ... sums to 1 - ln 2; leading zeros do not stop it
+    r = euler_transform_sum(lambda m: 0.0 if m < 2 else 1.0 / m)
+    assert abs(r.value - (1.0 - math.log(2.0))) <= 1e-12
+    # a sum far below 1 is as accurate as ln 2 itself
+    r = euler_transform_sum(lambda m: 1e-20 / (m + 1))
+    assert abs(r.value / (1e-20 * math.log(2.0)) - 1.0) <= 1e-11
 
 
 def test_declared_degree_needs_degree_plus_one_terms():

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,22 @@ def test_int_form_domain():
         zeta_deg_int(0, 1.0, 0.1)
     with pytest.raises(DomainError):
         zeta_deg_int(2, -1.0, 0.1)
+    with pytest.raises(DomainError, match="vanishes at m=0"):
+        zeta_deg_int(2, 0.2, 0.1)  # x = 2 lambda
+
+
+def test_series_routes_run_no_quadrature(monkeypatch):
+    from degzeta import gammadeg, zetadeg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature reached from the series route")
+
+    for module, name in ((zetadeg, "gamma_deg"), (zetadeg, "gamma_classical"),
+                         (zetadeg, "quad_semi_infinite"), (zetadeg, "quad_tail"),
+                         (gammadeg, "quad_semi_infinite")):
+        monkeypatch.setattr(module, name, refuse)
+    assert math.isfinite(zeta_deg(2.5, 1.0, 0.1))
+    assert math.isfinite(zeta_deg_int(3, 2.0, 0.05))
 
 
 def test_series_form_collapses_to_int_form_at_integer_s():
@@ -118,6 +136,52 @@ def test_mellin_tail_divergence_guard():
         zeta_deg_mellin(6.0, 0.5, 0.1)  # s >= x/lambda
     with pytest.raises(DomainError):
         zeta_deg(12.0, 1.0, 0.1)  # s >= 1/lambda
+    with pytest.raises(DomainError):
+        zeta_deg(6.0, 0.5, 0.1)  # 1/lambda > s >= x/lambda
+    with pytest.raises(DomainError):
+        zeta_deg(0.5, 0.1, 0.1)  # lambda >= x
+
+
+# ---------------------------------------------------------------------------
+# frozen 30-digit references (tests/data/make_zeta_references.py)
+# ---------------------------------------------------------------------------
+
+_REFERENCES = json.loads(
+    (Path(__file__).parent / "data" / "zeta_references.json").read_text())
+
+
+def _rel_err(value: float, ref: F) -> float:
+    return float(abs(F(value) / ref - 1))
+
+
+@pytest.mark.parametrize("row", _REFERENCES,
+                         ids=lambda r: f"s={r['s']},x={r['x']},lam={r['lambda']}")
+def test_frozen_reference(row):
+    s, x, lam = row["s"], row["x"], row["lambda"]
+    ref = F(row["value"])
+    if lam == 0:
+        assert _rel_err(euler_zeta(s, x), ref) <= 1e-8
+        return
+    if lam < x:
+        assert _rel_err(zeta_deg(s, x, lam), ref) <= 1e-12
+    if s.is_integer() and lam < 1 / s:
+        assert _rel_err(zeta_deg_int(int(s), x, lam), ref) <= 1e-8
+
+
+@pytest.mark.parametrize("s, x, lam", [(12.0, 2.0, 0.0), (30.0, 5.0, 0.0),
+                                       (15.0, 3.0, 0.05)])
+def test_small_values_match_mellin(s, x, lam):
+    # the series stop rule is relative, so values far below 1 keep their digits
+    if lam == 0:
+        series, mellin = euler_zeta(s, x), euler_zeta_mellin(s, x).value
+    else:
+        series, mellin = zeta_deg(s, x, lam), zeta_deg_mellin(s, x, lam).value
+    assert abs(series / mellin - 1) <= 1e-8
+
+
+def test_classical_series_underflows_only_at_the_end():
+    # 2 sum (-1)^m (m+2)^-1100 = 2^-1099 (1 - ...) rounds to 0.0
+    assert euler_zeta(1100.0, 2.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
