@@ -53,6 +53,18 @@ def deg_kernel(lam: float):
     return lambda t: math.exp(-math.log1p(lam * t) * inv)
 
 
+def _mellin_quad(integrand, log_integrand, cfg: QuadConfig | None) -> QuadResult:
+    """Integral of `integrand` over (0, inf), redone as exp(log_integrand) if it overflows.
+
+    In the Mellin integrands k(t) t^(s-1) the power alone can overflow at
+    large t and s while the product stays in range.
+    """
+    try:
+        return quad_semi_infinite(integrand, cfg)
+    except OverflowError:
+        return quad_semi_infinite(lambda t: math.exp(log_integrand(t)), cfg)
+
+
 def _check_domain(s: float, lam: float) -> None:
     if not (0.0 < lam < 1.0):
         raise DomainError(f"lambda must be in (0,1), got {lam!r}")
@@ -74,7 +86,8 @@ def gamma_deg(s: float, lam: float, cfg: QuadConfig | None = None) -> QuadResult
     _check_domain(s, lam)
     kern = deg_kernel(lam)
     sm1 = s - 1.0
-    return quad_semi_infinite(lambda t: kern(t) * t**sm1, cfg)
+    return _mellin_quad(lambda t: kern(t) * t**sm1,
+                        lambda t: sm1 * math.log(t) - math.log1p(lam * t) / lam, cfg)
 
 
 def gamma_deg_closed(n: int, lam: RationalLike) -> Fraction:
@@ -114,6 +127,24 @@ def _gamma_ratio(b: float, lam: float, s: float) -> float:
     if max(a, a - s) < 170.0:  # math.gamma overflows above 171.6
         return math.gamma(a - s) / math.gamma(a)
     return math.exp(math.lgamma(a - s) - math.lgamma(a))
+
+
+def _gamma_ratio_frexp(b: float, lam: float, s: float) -> tuple[float, int]:
+    """(f, e) with `_gamma_ratio(b, lam, s)` = f * 2**e, for ratios outside the float range.
+
+    At a positive integer s the product is renormalised factor by factor;
+    else e comes from the `lgamma` difference, which needs a - s > 0.
+    """
+    if s > 0 and float(s).is_integer():
+        f, e = 1.0, 0
+        for j in range(1, int(s) + 1):
+            f, k = math.frexp(f * ((b - j * lam) / lam))
+            e += k
+        return 1.0 / f, -e
+    a = b / lam
+    log2 = (math.lgamma(a - s) - math.lgamma(a)) / math.log(2.0)
+    e = math.floor(log2)
+    return 2.0 ** (log2 - e), e
 
 
 def funceq_residual(s: float, lam: float) -> float:

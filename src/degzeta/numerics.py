@@ -16,7 +16,7 @@ after d + 1 terms when a_m is a polynomial in m of degree d, yielding the
 Abel sum of the (divergent) series exactly.  Differences are exact only
 for a declared degree: the caller passes d, and d + 1 rational terms give
 the Abel sum as a Fraction.  Without a declared degree the terms are
-floats and the sum stops on a relative tolerance.
+floats and the sum stops on one fixed relative tolerance, 1e-13.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 __all__ = [
     "DomainError",
@@ -222,46 +222,31 @@ def quad_semi_infinite(f: Callable[[float], float],
     )
 
 
-TermSource = Union[Callable[[int], Union[float, Fraction]], Sequence]
+_SUM_REL_TOL = 1e-13
+_SUM_MAX_TERMS = 400
 
 
-def _term_getter(a: TermSource) -> tuple[Callable[[int], object], int]:
-    if callable(a):
-        return a, -1
-    seq = a
-    return (lambda m: seq[m]), len(seq)
-
-
-def euler_transform_sum(a: TermSource, *, tol: float = 1e-12,
-                        max_terms: int = 400,
+def euler_transform_sum(a: Callable[[int], Union[float, Fraction]], *,
                         degree: int | None = None) -> AccelResult:
     """Sum the alternating series sum_{m>=0} (-1)^m a_m by Euler's transformation.
 
-    `a` is a callable m -> a_m or a sequence.  The transform value is
+    `a` maps m to a_m.  The transform value is
     sum_k (-1)^k (D^k a)_0 / 2^(k+1) with D the forward difference.
 
     With degree=d the caller declares that a_m is a polynomial in m of
     degree d.  Every difference of order > d then vanishes, so exactly
     d + 1 terms are taken in rational arithmetic and the Fraction result
-    is the Abel sum of the series (terminated_exactly=True); tol and
-    max_terms do not apply.  Without a degree the terms are floats, the
-    transform terms are added with compensated summation, and the sum
-    stops once two successive increments are below tol relative to it.
+    is the Abel sum of the series (terminated_exactly=True).  Without a
+    degree the terms are floats, the transform terms are added with
+    compensated summation, and the sum stops once two successive
+    increments are below 1e-13 relative to it, within 400 terms.
 
     Raises:
         TypeError: a declared degree with a float term.
-        NonConvergentError: a declared degree with fewer than d + 1 terms
-            in the sequence, or max_terms reached without meeting tol.
+        NonConvergentError: 400 float terms without meeting the tolerance.
     """
-    term_at, limit = _term_getter(a)
     exact = degree is not None
-    if exact:
-        budget = degree + 1
-        if 0 <= limit < budget:
-            raise NonConvergentError(
-                f"degree {degree} needs {budget} terms, got {limit}")
-    else:
-        budget = max_terms if limit < 0 else min(max_terms, limit)
+    budget = degree + 1 if exact else _SUM_MAX_TERMS
     if budget < 1:
         raise ValueError("need at least one term")
 
@@ -270,7 +255,7 @@ def euler_transform_sum(a: TermSource, *, tol: float = 1e-12,
     carry = 0.0  # Kahan compensation
     small_streak = 0
     for n in range(budget):
-        t = term_at(n)
+        t = a(n)
         if exact:
             if isinstance(t, float):
                 raise TypeError("a declared degree requires Fraction/int terms")
@@ -291,7 +276,7 @@ def euler_transform_sum(a: TermSource, *, tol: float = 1e-12,
         s = total + y
         carry = (s - total) - y
         total = s
-        if abs(increment) < tol * abs(total):
+        if abs(increment) < _SUM_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
                 return AccelResult(total, n + 1, False)

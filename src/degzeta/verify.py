@@ -11,7 +11,8 @@ checked so a failure is traceable to a formula.  Suites:
                 quadrature and the continuation, functional equation +
                 chain, the l -> 0 first-order law, and the residues
     zeta        classical interpolation, cross-representation agreement,
-                and the l -> 0 limit at negative integers
+                the l -> 0 limit at negative integers, and the exact Abel
+                sum at s = -n against both candidates
     discrepancy the continuation experiment deciding between the two
                 negative-integer closed forms
     all         everything above, in that order
@@ -331,6 +332,10 @@ _ANCHOR_CROSS = (
     "Mellin form int F(-t,x|-l) t^(s-1) dt / Gamma(s|l)"
 )
 _ANCHOR_NEG_LIMIT = "lim_{l->0} zeta_E(-n,x|l) == E_n(x)"
+_ANCHOR_NEG_ABEL = (
+    "2 Abel(sum (-1)^m prod_{j<n}(m+x+jl)) / prod_{j<n}(1+jl) == "
+    "E_n(x|-l) / ((1+l)(1+2l)...(1+(n-1)l)) (scaled), != E_n(x|-l) (plain)"
+)
 
 
 def suite_zeta() -> list[CheckResult]:
@@ -399,6 +404,24 @@ def suite_zeta() -> list[CheckResult]:
             {"n": n, "x": 1, "lambda": str(lam)},
             float(expected), float(actual), 10.0 * float(lam),
         ))
+
+    for x, lam in ((Fraction(1), Fraction(1, 4)), (Fraction(1), Fraction(1, 10)),
+                   (Fraction(3, 2), Fraction(2, 7)), (Fraction(5, 4), Fraction(3, 7))):
+        for n in range(11):
+            abel = zetadeg._zeta_abel(n, x, lam)
+            scaled, plain = zetadeg.zeta_deg_neg_candidates(n, x, lam)
+            # the candidates coincide for n <= 1, and both vanish at (5, 1, 1/4)
+            ok = abel == scaled and (n < 2 or plain == 0 or abel != plain)
+            checks.append(CheckResult(
+                check_id=f"neg_abel/n={n},x={x},lam={lam}",
+                anchor=_ANCHOR_NEG_ABEL,
+                inputs={"n": n, "x": str(x), "lambda": str(lam)},
+                expected=f"{scaled} (plain candidate: {plain})",
+                actual=str(abel),
+                residual=0.0 if ok else 1.0,
+                tolerance=0.0,
+                passed=ok,
+            ))
     return checks
 
 

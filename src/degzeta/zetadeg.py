@@ -35,6 +35,7 @@ extrapolation toward the pole and reports which candidate matches.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,8 +50,9 @@ from .exactcore import (
 )
 from .gammadeg import (
     DOMAIN_MARGIN,
-    _check_domain,
     _gamma_ratio,
+    _gamma_ratio_frexp,
+    _mellin_quad,
     deg_kernel,
     gamma_classical,
     gamma_deg,
@@ -61,7 +63,6 @@ from .numerics import (
     QuadConfig,
     QuadResult,
     euler_transform_sum,
-    quad_semi_infinite,
     quad_tail,
     richardson_limit,
 )
@@ -92,33 +93,43 @@ def _require_positive_x(x: float) -> None:
         raise DomainError(f"x must be > 0, got {x!r}")
 
 
+def _zeta_abel(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
+    """2 Abel(sum_m (-1)^m prod_{j<n} (m+x+jl)) / prod_{j<n} (1+jl), l >= 0.
+
+    The gamma-ratio series of `zeta_deg` at s = -n, whose terms are
+    polynomials of degree n in m.  With x = a/b, l = p/q and D = bq each
+    factor is (Dm + aq + jpb)/D, so the exact Euler transform runs over
+    integers.  At l = 0 this is E_n(x); for l > 0 the scaled candidate,
+    without the product form.  Callers check the domain.
+    """
+    xf, lamf = Fraction(x), Fraction(lam)
+    a, b = xf.numerator, xf.denominator
+    p, q = lamf.numerator, lamf.denominator
+    d = b * q
+    abel = euler_transform_sum(
+        lambda m: math.prod(d * m + a * q + j * p * b for j in range(n)),
+        degree=n).value
+    return 2 * abel / math.prod(b * (q + j * p) for j in range(n))
+
+
 def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
     """Classical Euler zeta 2 sum (-1)^m (m+x)^(-s).
 
-    For s = -n (integer n >= 0) the value is taken exactly: E_n(x) from
-    the product form of `euler_poly_deg`, cross-checked against the exact
-    Euler transformation of the divergent series 2 sum (-1)^m (m+x)^n,
-    whose terms are a polynomial of degree n in m, so its n + 1 terms give
-    the Abel sum, which must be the same rational number.  Returns a
-    Fraction on this path.
+    For s = -n (integer n >= 0) the value is E_n(x), taken exactly as the
+    Abel sum of the divergent series 2 sum (-1)^m (m+x)^n: its terms are
+    a polynomial of degree n in m, so the Euler transformation ends after
+    n + 1 of them (`_zeta_abel` at l = 0).  Returns a Fraction on this
+    path.
 
     For other s the alternating series is summed with acceleration to a
     relative tolerance and a float comes back.
     """
     _require_positive_x(float(x))
     if float(s).is_integer() and s <= 0:
-        n = int(round(-float(s)))
-        xf = x if isinstance(x, Fraction) else Fraction(x)
-        value = euler_poly_deg(n, 0)(xf)
-        abel = 2 * euler_transform_sum(lambda m: (xf + m) ** n, degree=n).value
-        if abel != value:
-            raise ArithmeticError(
-                f"Abel sum {abel} disagrees with E_{n}({xf}) = {value}"
-            )
-        return value
+        return _zeta_abel(int(round(-float(s))), x, 0)
     # scaled by x^s, so a value below the float range underflows only at the end
     xr = float(x)
-    acc = euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s), max_terms=500)
+    acc = euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s))
     return 2.0 * acc.value * xr ** (-s)
 
 
@@ -136,15 +147,36 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
     def integrand(t: float) -> float:
         return 2.0 / (1.0 + math.exp(-t)) * math.exp(-x * t) * t ** (s - 1.0)
 
-    q = quad_semi_infinite(integrand, cfg)
+    def log_integrand(t: float) -> float:
+        return math.log(2.0) - math.log1p(math.exp(-t)) - x * t + (s - 1.0) * math.log(t)
+
+    q = _mellin_quad(integrand, log_integrand, cfg)
     return QuadResult(q.value / g, q.abs_error_estimate / g, q.subdivisions)
+
+
+def _check_series_domain(s: float, x: float, lam: float) -> None:
+    """0 < lam < 1 and 0 < s < min(1, x)/lam - delta.
+
+    There the Mellin integral converges, since its kernel decays like
+    t^(-x/lam), and so does Gamma(s|lam).
+    """
+    _require_positive_x(x)
+    if not (0.0 < lam < 1.0):
+        raise DomainError("lambda must be in (0,1)")
+    if not 0.0 < s < min(1.0, x) / lam - DOMAIN_MARGIN:
+        raise DomainError(
+            f"need 0 < s < min(1/lambda, x/lambda) - delta, got s={s!r}"
+        )
 
 
 def _zeta_series(s: float, x: float, lam: float) -> float:
     """2 Gamma(1/l)/Gamma(1/l-s) sum_m (-1)^m Gamma((m+x)/l - s)/Gamma((m+x)/l).
 
     Every ratio in closed form (`_gamma_ratio`), summed with Euler
-    acceleration to a relative tolerance.  Callers check the domain.
+    acceleration to a relative tolerance.  Where that fails because the
+    first term or the prefactor lies outside the normal float range, both
+    are scaled by powers of 2 and the ratios a_m/a_0 are summed instead.
+    Callers check the domain.
     """
     def term(m: int) -> float:
         try:
@@ -152,9 +184,24 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
         except ZeroDivisionError:
             raise DomainError(f"term denominator vanishes at m={m}") from None
 
-    # 1e-13 keeps the sum within 1e-12 relative of the exact value
-    acc = euler_transform_sum(term, tol=1e-13)
-    return 2.0 * acc.value / _gamma_ratio(1.0, lam, s)
+    try:
+        return 2.0 * euler_transform_sum(term).value / _gamma_ratio(1.0, lam, s)
+    except (NonConvergentError, ZeroDivisionError):
+        if all(sys.float_info.min <= abs(v) <= sys.float_info.max
+               for v in (term(0), _gamma_ratio(1.0, lam, s))):
+            raise
+    f0, e0 = _gamma_ratio_frexp(x, lam, s)
+    f1, e1 = _gamma_ratio_frexp(1.0, lam, s)
+
+    def ratio(m: int) -> float:
+        f, e = _gamma_ratio_frexp(m + x, lam, s)
+        return math.ldexp(f / f0, e - e0)
+
+    acc = euler_transform_sum(ratio).value
+    try:
+        return math.ldexp(2.0 * acc * f0 / f1, e0 - e1)
+    except OverflowError:
+        raise DomainError(f"zeta at s={s!r} exceeds the float range") from None
 
 
 def zeta_deg_int(n: int, x: float, lam: float) -> float:
@@ -181,14 +228,9 @@ def zeta_deg(s: float, x: float, lam: float) -> float:
     leaves the series of `_zeta_series`.  The domain is that of every
     term's integral: 0 < lam < min(1, x), 0 < s < min(1, x)/lam - delta.
     """
-    _require_positive_x(x)
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must be in (0,1)")
-    if not 0.0 < s < 1.0 / lam - DOMAIN_MARGIN:
-        raise DomainError("need 0 < s < 1/lambda")
+    _check_series_domain(s, x, lam)
     if not lam < x:
         raise DomainError("need lambda < x so every term's gamma parameter is in (0,1)")
-    _check_domain(s, lam / x)  # Gamma(s|l/x) of the m = 0 term: s < x/l - delta
     return _zeta_series(s, x, lam)
 
 
@@ -211,15 +253,14 @@ def zeta_deg_mellin(s: float, x: float, lam: float,
     decays like t^(-x/l), so s < x/l - delta is enforced on top of the
     gamma domain.
     """
-    _require_positive_x(x)
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must be in (0,1)")
-    if not 0.0 < s < min(1.0, x) / lam - DOMAIN_MARGIN:
-        raise DomainError(
-            f"need 0 < s < min(1/lambda, x/lambda) - delta, got s={s!r}"
-        )
+    _check_series_domain(s, x, lam)
     kern = deg_euler_zeta_kernel(x, lam)
-    num = quad_semi_infinite(lambda t: kern(t) * t ** (s - 1.0), cfg)
+
+    def log_integrand(t: float) -> float:
+        ell = math.log1p(lam * t) / lam
+        return math.log(2.0) - x * ell - math.log1p(math.exp(-ell)) + (s - 1.0) * math.log(t)
+
+    num = _mellin_quad(lambda t: kern(t) * t ** (s - 1.0), log_integrand, cfg)
     den = gamma_deg(s, lam, cfg)
     value = num.value / den.value
     err = (num.abs_error_estimate + abs(value) * den.abs_error_estimate) / abs(den.value)

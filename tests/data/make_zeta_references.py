@@ -17,7 +17,8 @@ The tests read the JSON only; they do not import mpmath.
 `mp.nsum` can be wrong without warning: at (s, x, l) = (10, 50, 0.001) it
 returns 4.74e-48 where the sum is 5.64e-48.  Each point below was also
 checked against another route (Mellin quadrature by `mp.quad`, the
-Hurwitz zeta, or digamma for integer s), so check any point you add.
+Hurwitz zeta, digamma for integer s, or at (120, 0.5, 0.001) direct
+summation of the finite products), so check any point you add.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ POINTS = [
     (5.0, 1.5, 0.15),
     (15.0, 3.0, 0.05),
     (17.0, 0.9, 0.05),
+    (120.0, 0.5, 0.001),
 ]
 
 

@@ -125,16 +125,6 @@ def test_linear_terms_abel_sum():
     assert 2 * r.value == 0
 
 
-def test_polynomial_termination_independent_of_max_terms():
-    values = set()
-    for max_terms in (6, 40, 400):
-        r = euler_transform_sum(lambda m: (F(m) + F(1, 3)) ** 2, degree=2,
-                                max_terms=max_terms)
-        assert r.terminated_exactly
-        values.add(r.value)
-    assert len(values) == 1
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=4),
@@ -155,8 +145,8 @@ def test_exact_path_rejects_floats():
 
 def test_fraction_terms_without_degree_do_not_claim_exactness():
     # 0, 0, 1/2, 1/3, ... sums to 1 - ln 2: two leading zeros prove nothing
-    terms = [F(0), F(0)] + [F(1, m) for m in range(2, 400)]
-    assert not euler_transform_sum(terms).terminated_exactly
+    assert not euler_transform_sum(
+        lambda m: F(0) if m < 2 else F(1, m)).terminated_exactly
 
 
 def test_float_stop_rule_is_relative():
@@ -168,14 +158,10 @@ def test_float_stop_rule_is_relative():
     assert abs(r.value / (1e-20 * math.log(2.0)) - 1.0) <= 1e-11
 
 
-def test_declared_degree_needs_degree_plus_one_terms():
-    with pytest.raises(NonConvergentError):
-        euler_transform_sum([F(1), F(2), F(3)], degree=3)
-
-
 def test_sequence_input_and_nonconvergence():
+    # the transform increments of 3^m stay +-1/2, so the sum never settles
     with pytest.raises(NonConvergentError):
-        euler_transform_sum([1.0, 0.5, 2.0], tol=1e-15)
+        euler_transform_sum(lambda m: 3.0**m)
 
 
 def test_result_type():

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degzeta.exactcore import euler_poly_classic, euler_poly_deg
 from degzeta.gammadeg import gamma_deg_residue
@@ -30,6 +32,20 @@ def test_interpolation_exact_equality():
     for x in (F(1, 2), F(1), F(3, 2)):
         for n in range(11):
             assert euler_zeta(-n, x) == euler_poly_classic(n)(x), (n, x)
+
+
+def test_euler_zeta_neg_builds_no_polynomial(monkeypatch):
+    from degzeta import zetadeg
+
+    expected = {(n, x): euler_poly_classic(n)(x)
+                for x in (F(1, 2), F(3, 2)) for n in range(11)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("euler_zeta at s = -n built E_n(x) by the product form")
+
+    monkeypatch.setattr(zetadeg, "euler_poly_deg", refuse)
+    for (n, x), value in expected.items():
+        assert euler_zeta(-n, x) == value, (n, x)
 
 
 def test_zeta_at_zero_is_one():
@@ -100,8 +116,7 @@ def test_series_routes_run_no_quadrature(monkeypatch):
         raise AssertionError("quadrature reached from the series route")
 
     for module, name in ((zetadeg, "gamma_deg"), (zetadeg, "gamma_classical"),
-                         (zetadeg, "quad_semi_infinite"), (zetadeg, "quad_tail"),
-                         (gammadeg, "quad_semi_infinite")):
+                         (zetadeg, "quad_tail"), (gammadeg, "quad_semi_infinite")):
         monkeypatch.setattr(module, name, refuse)
     assert math.isfinite(zeta_deg(2.5, 1.0, 0.1))
     assert math.isfinite(zeta_deg_int(3, 2.0, 0.05))
@@ -131,15 +146,62 @@ def test_representation_agreement_sweep():
                 assert abs(zc - zd) <= 1e-6, (s, x, lam)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.01, 0.3), st.floats(0.5, 3.0), st.floats(0.0, 1.0))
+def test_series_matches_mellin_relative_sweep(lam, x, frac):
+    s = 0.2 + frac * (0.9 * min(1.0, x) / lam - 0.2)
+    assert abs(zeta_deg(s, x, lam) / zeta_deg_mellin(s, x, lam).value - 1) <= 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.2, 4.0), st.floats(0.5, 3.0))
+def test_classical_series_matches_mellin_relative_sweep(s, x):
+    assert abs(euler_zeta(s, x) / euler_zeta_mellin(s, x).value - 1) <= 1e-8
+
+
+def test_mellin_integrand_power_beyond_float_range():
+    # t^(s-1) overflows at t ~ 1e4 for s = 90; the integrands do not
+    from degzeta.gammadeg import gamma_deg, gamma_deg_closed
+
+    closed = gamma_deg_closed(95, F(1, 100))
+    assert _rel_err(gamma_deg(95.0, 0.01).value, closed) <= 1e-8
+    assert abs(zeta_deg_mellin(90.0, 3.0, 0.01).value / zeta_deg(90.0, 3.0, 0.01) - 1) <= 1e-8
+
+
 def test_mellin_tail_divergence_guard():
-    with pytest.raises(DomainError):
+    bound = r"need 0 < s < min\(1/lambda, x/lambda\) - delta"
+    with pytest.raises(DomainError, match=bound):
         zeta_deg_mellin(6.0, 0.5, 0.1)  # s >= x/lambda
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=bound):
         zeta_deg(12.0, 1.0, 0.1)  # s >= 1/lambda
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=bound):
         zeta_deg(6.0, 0.5, 0.1)  # 1/lambda > s >= x/lambda
     with pytest.raises(DomainError):
         zeta_deg(0.5, 0.1, 0.1)  # lambda >= x
+
+
+def test_series_domain_bound_one_ulp_either_side():
+    from degzeta.gammadeg import DOMAIN_MARGIN
+    from degzeta.zetadeg import _check_series_domain
+
+    for x, lam in ((0.5, 0.1), (2.0, 0.3), (0.77, 0.19)):
+        bound = min(1.0, x) / lam - DOMAIN_MARGIN
+        _check_series_domain(math.nextafter(bound, 0.0), x, lam)
+        for s in (bound, math.nextafter(bound, math.inf)):
+            with pytest.raises(DomainError):
+                _check_series_domain(s, x, lam)
+        with pytest.raises(DomainError):
+            _check_series_domain(0.0, x, lam)
+        _check_series_domain(math.nextafter(0.0, 1.0), x, lam)
+
+
+def test_series_outside_the_float_range():
+    # first term and prefactor underflow; the value itself is 1.05e40
+    assert zeta_deg_int(120, 0.5, 0.001) == zeta_deg(120.0, 0.5, 0.001)
+    assert _rel_err(zeta_deg(120.5, 0.5, 0.001),
+                    F("1.59767657488733262490184e40")) <= 1e-11
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        zeta_deg(999.99, 0.5, 0.0005)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +270,19 @@ def test_neg_lambda_to_zero_limit():
     for n in range(7):
         gap = abs(zeta_deg_neg(n, 1, lam) - euler_poly_classic(n)(1))
         assert gap <= 10 * lam, n
+
+
+@pytest.mark.parametrize("x, lam", [(1, F(1, 4)), (1, F(1, 10)), (F(3, 2), F(2, 7)),
+                                    (F(5, 4), F(3, 7)), (F(7, 3), F(1, 1000))])
+def test_abel_sum_is_the_scaled_candidate(x, lam):
+    from degzeta.zetadeg import _zeta_abel
+
+    for n in range(11):
+        scaled = zeta_deg_neg(n, x, lam)
+        plain = zeta_deg_neg_plain(n, x, lam)
+        assert _zeta_abel(n, x, lam) == scaled, n
+        if n >= 2 and plain != 0:
+            assert scaled != plain, n
 
 
 def test_neg_domain():
