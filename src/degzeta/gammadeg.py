@@ -53,16 +53,24 @@ def deg_kernel(lam: float):
     return lambda t: math.exp(-math.log1p(lam * t) * inv)
 
 
-def _mellin_quad(integrand, log_integrand, cfg: QuadConfig | None) -> QuadResult:
-    """Integral of `integrand` over (0, inf), redone as exp(log_integrand) if it overflows.
+def deg_log_kernel(lam: float):
+    """The map t -> log of `deg_kernel(lam)`, -log1p(lam*t)/lam."""
+    return lambda t: -math.log1p(lam * t) / lam
+
+
+def _mellin_quad(kern, log_kern, s: float, cfg: QuadConfig | None,
+                 integrate=quad_semi_infinite) -> QuadResult:
+    """`integrate` of kern(t) t^(s-1), redone as exp(log_kern(t) + (s-1) log t) if it overflows.
 
     In the Mellin integrands k(t) t^(s-1) the power alone can overflow at
-    large t and s while the product stays in range.
+    large t and s while the product stays in range.  `integrate(f, cfg)`
+    defaults to the integral over (0, inf).
     """
+    sm1 = s - 1.0
     try:
-        return quad_semi_infinite(integrand, cfg)
+        return integrate(lambda t: kern(t) * t**sm1, cfg)
     except OverflowError:
-        return quad_semi_infinite(lambda t: math.exp(log_integrand(t)), cfg)
+        return integrate(lambda t: math.exp(log_kern(t) + sm1 * math.log(t)), cfg)
 
 
 def _check_domain(s: float, lam: float) -> None:
@@ -84,10 +92,7 @@ def gamma_deg(s: float, lam: float, cfg: QuadConfig | None = None) -> QuadResult
     than returning a huge number.
     """
     _check_domain(s, lam)
-    kern = deg_kernel(lam)
-    sm1 = s - 1.0
-    return _mellin_quad(lambda t: kern(t) * t**sm1,
-                        lambda t: sm1 * math.log(t) - math.log1p(lam * t) / lam, cfg)
+    return _mellin_quad(deg_kernel(lam), deg_log_kernel(lam), s, cfg)
 
 
 def gamma_deg_closed(n: int, lam: RationalLike) -> Fraction:
@@ -108,10 +113,17 @@ def gamma_deg_closed(n: int, lam: RationalLike) -> Fraction:
 
 
 def gamma_classical(s: float) -> float:
-    """Classical Gamma(s) for s > 0 (`math.gamma`, independent of `gamma_deg`)."""
+    """Classical Gamma(s) for s > 0 (`math.gamma`, independent of `gamma_deg`).
+
+    Raises:
+        DomainError: s <= 0, or Gamma(s) overflows the float range (s > ~171.6).
+    """
     if not s > 0:
         raise DomainError("classical gamma evaluated only for s > 0 here")
-    return math.gamma(s)
+    try:
+        return math.gamma(s)
+    except OverflowError:
+        raise DomainError(f"Gamma({s!r}) overflows the float range") from None
 
 
 def _gamma_ratio(b: float, lam: float, s: float) -> float:

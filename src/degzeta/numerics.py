@@ -50,6 +50,7 @@ class NonConvergentError(ArithmeticError):
 
 
 _ABS_FLOOR = 1e-14
+_ROUNDOFF = 50.0 * 2.220446049250313e-16  # QUADPACK's 50 eps error floor
 _MAX_BISECTIONS = 2000
 _SPLIT_T = 1.0
 
@@ -60,7 +61,9 @@ class QuadConfig:
 
     The default leaves two orders of headroom over the 1e-8 checks the
     verification suite runs at.  The absolute tolerance (1e-14), the
-    budget of 2000 subdivisions and the split at t = 1 are fixed.
+    budget of 2000 subdivisions and the split at t = 1 are fixed.  Below
+    the roundoff floor, rel_tol < ~1.1e-14, only integrals under ~0.9 in
+    magnitude converge; larger ones raise NonConvergentError at once.
     """
 
     rel_tol: float = 1e-10
@@ -111,7 +114,8 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
 
     The estimate follows the usual nested-rule heuristic: |K15 - G7|
     damped by the integral of |f - mean| so that nearly-singular panels
-    are not reported as more accurate than they are.
+    are not reported as more accurate than they are.  It is never below
+    the roundoff floor _ROUNDOFF * resabs, resabs the K15 value of |f|.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -134,7 +138,7 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     err = diff
     if resasc != 0.0 and diff != 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    err = max(err, 50.0 * 2.220446049250313e-16 * resabs)
+    err = max(err, _ROUNDOFF * resabs)
     return value, err
 
 
@@ -146,42 +150,59 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     estimate meets max(_ABS_FLOOR, cfg.rel_tol * |integral|), within
     _MAX_BISECTIONS bisections.
 
+    Each panel's estimate is at least its roundoff floor, _ROUNDOFF times
+    its K15 value of |f|, and those values sum to at least |integral|
+    however the interval is cut.  So a rel_tol below _ROUNDOFF (~1.1e-14)
+    can be met only where _ABS_FLOOR governs, for |integral| below
+    _ABS_FLOOR / _ROUNDOFF (~0.9).  Once the value less its error estimate
+    is above that, the loop stops instead of bisecting on.
+
     Raises:
-        NonConvergentError: budget exhausted with the error above tolerance.
+        NonConvergentError: rel_tol is below the roundoff floor for an
+            integral this large, or the budget ran out with the error
+            above the tolerance.
         DomainError: a sample evaluated to NaN or infinity.
     """
     cfg = cfg or QuadConfig()
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError("need finite bounds with b > a")
+    below_floor = cfg.rel_tol < _ROUNDOFF
     val, err = _gk_panel(f, a, b)
     total_val = val
     total_err = err
     counter = 0
     heap = [(-err, counter, a, b, val, err)]
     subdivisions = 0
-    while total_err > max(_ABS_FLOOR, cfg.rel_tol * abs(total_val)):
-        # a kept error's traceback keeps this frame, so drop the heap first
-        if subdivisions >= _MAX_BISECTIONS:
-            heap.clear()
-            raise NonConvergentError(
-                f"quadrature error {total_err:.3e} above tolerance after "
-                f"{subdivisions} subdivisions"
-            )
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval is at machine resolution; nothing left to refine
-            heap.clear()
-            raise NonConvergentError("interval underflow before reaching tolerance")
-        v1, e1 = _gk_panel(f, lo, mid)
-        v2, e2 = _gk_panel(f, mid, hi)
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-        subdivisions += 1
+    try:
+        while total_err > max(_ABS_FLOOR, cfg.rel_tol * abs(total_val)):
+            if below_floor and _ROUNDOFF * (low := abs(total_val) - total_err) > _ABS_FLOOR:
+                raise NonConvergentError(
+                    f"quadrature roundoff floor {_ROUNDOFF * low:.3e} above tolerance "
+                    f"{max(_ABS_FLOOR, cfg.rel_tol * low):.3e} at |integral| >= {low:.3e} "
+                    f"after {subdivisions} subdivisions"
+                )
+            if subdivisions >= _MAX_BISECTIONS:
+                raise NonConvergentError(
+                    f"quadrature error {total_err:.3e} above tolerance after "
+                    f"{subdivisions} subdivisions"
+                )
+            _, _, lo, hi, v, e = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                # interval is at machine resolution; nothing left to refine
+                raise NonConvergentError("interval underflow before reaching tolerance")
+            v1, e1 = _gk_panel(f, lo, mid)
+            v2, e2 = _gk_panel(f, mid, hi)
+            total_val += v1 + v2 - v
+            total_err += e1 + e2 - e
+            counter += 1
+            heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
+            counter += 1
+            heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
+            subdivisions += 1
+    finally:
+        # a kept error's traceback keeps this frame, so drop the panels
+        heap.clear()
     return QuadResult(total_val, total_err, subdivisions)
 
 
@@ -192,13 +213,22 @@ def quad_tail(f: Callable[[float], float], a: float,
     The substitution sends [a, inf) to (0, 1/(1+a)] and the integral to
     int_0^(1/(1+a)) f((1-u)/u) / u^2 du; the endpoint u = 0 is never
     sampled since Kronrod nodes are interior.
+
+    Raises:
+        NonConvergentError: bisection reached a u whose square underflows
+            to 0 (u < ~1e-162), where an integrand that decays too slowly
+            for the tolerance still needs refining.
     """
     if a < 0:
         raise DomainError("lower bound must be >= 0")
 
     def mapped(u: float) -> float:
         t = (1.0 - u) / u
-        return f(t) / (u * u)
+        uu = u * u
+        if uu == 0.0:
+            raise NonConvergentError(
+                f"tail not resolved: bisection reached u={u!r}, where u^2 underflows")
+        return f(t) / uu
 
     return quad_finite(mapped, 0.0, 1.0 / (1.0 + a), cfg)
 

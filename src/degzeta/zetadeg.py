@@ -54,6 +54,7 @@ from .gammadeg import (
     _gamma_ratio_frexp,
     _mellin_quad,
     deg_kernel,
+    deg_log_kernel,
     gamma_classical,
     gamma_deg,
 )
@@ -144,13 +145,13 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
     _require_positive_x(x)
     g = gamma_classical(s)
 
-    def integrand(t: float) -> float:
-        return 2.0 / (1.0 + math.exp(-t)) * math.exp(-x * t) * t ** (s - 1.0)
+    def kern(t: float) -> float:
+        return 2.0 / (1.0 + math.exp(-t)) * math.exp(-x * t)
 
-    def log_integrand(t: float) -> float:
-        return math.log(2.0) - math.log1p(math.exp(-t)) - x * t + (s - 1.0) * math.log(t)
+    def log_kern(t: float) -> float:
+        return math.log(2.0) - math.log1p(math.exp(-t)) - x * t
 
-    q = _mellin_quad(integrand, log_integrand, cfg)
+    q = _mellin_quad(kern, log_kern, s, cfg)
     return QuadResult(q.value / g, q.abs_error_estimate / g, q.subdivisions)
 
 
@@ -245,6 +246,16 @@ def deg_euler_zeta_kernel(x: float, lam: float):
     return kern
 
 
+def deg_euler_zeta_log_kernel(x: float, lam: float):
+    """The map t -> log of `deg_euler_zeta_kernel(x, lam)`."""
+
+    def log_kern(t: float) -> float:
+        ell = math.log1p(lam * t) / lam
+        return math.log(2.0) - x * ell - math.log1p(math.exp(-ell))
+
+    return log_kern
+
+
 def zeta_deg_mellin(s: float, x: float, lam: float,
                     cfg: QuadConfig | None = None) -> QuadResult:
     """Degenerate Euler zeta by direct quadrature of its defining integral.
@@ -254,13 +265,8 @@ def zeta_deg_mellin(s: float, x: float, lam: float,
     gamma domain.
     """
     _check_series_domain(s, x, lam)
-    kern = deg_euler_zeta_kernel(x, lam)
-
-    def log_integrand(t: float) -> float:
-        ell = math.log1p(lam * t) / lam
-        return math.log(2.0) - x * ell - math.log1p(math.exp(-ell)) + (s - 1.0) * math.log(t)
-
-    num = _mellin_quad(lambda t: kern(t) * t ** (s - 1.0), log_integrand, cfg)
+    num = _mellin_quad(deg_euler_zeta_kernel(x, lam),
+                       deg_euler_zeta_log_kernel(x, lam), s, cfg)
     den = gamma_deg(s, lam, cfg)
     value = num.value / den.value
     err = (num.abs_error_estimate + abs(value) * den.abs_error_estimate) / abs(den.value)
@@ -364,14 +370,14 @@ def _pole_distance_ok(s: float) -> None:
         )
 
 
-def _split_mellin(s: float, coeffs: tuple[float, ...], kern,
+def _split_mellin(s: float, coeffs: tuple[float, ...], kern, log_kern,
                   cfg: QuadConfig | None = None) -> tuple[float, float]:
     if s <= -(len(coeffs) - 5):
         raise DomainError(f"s={s!r} below the continued strip")
     pole_part = 0.0
     for m, a in enumerate(coeffs):
         pole_part += a / (s + m)
-    tail = quad_tail(lambda t: kern(t) * t ** (s - 1.0), 1.0, cfg)
+    tail = _mellin_quad(kern, log_kern, s, cfg, lambda f, c: quad_tail(f, 1.0, c))
     return pole_part + tail.value, tail.abs_error_estimate
 
 
@@ -388,7 +394,8 @@ def gamma_deg_continued(s: float, lam: float) -> float:
         raise DomainError("s too close to the divergence threshold 1/lambda")
     _pole_distance_ok(s)
     lamf = Fraction(lam)
-    value, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam))
+    value, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam),
+                             deg_log_kernel(lam))
     return value
 
 
@@ -411,9 +418,10 @@ def zeta_deg_continued(s: float, x: float, lam: float,
     _pole_distance_ok(s)
     xf = Fraction(x)
     lamf = Fraction(lam)
-    num, _ = _split_mellin(s, _kernel_coeffs(xf, lamf),
-                           deg_euler_zeta_kernel(x, lam), cfg)
-    den, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam), cfg)
+    num, _ = _split_mellin(s, _kernel_coeffs(xf, lamf), deg_euler_zeta_kernel(x, lam),
+                           deg_euler_zeta_log_kernel(x, lam), cfg)
+    den, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam),
+                           deg_log_kernel(lam), cfg)
     return num / den
 
 

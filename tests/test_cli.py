@@ -203,6 +203,15 @@ def test_domain_error_exit_code(capsys):
     assert err.startswith("error:")
 
 
+def test_overflow_is_domain_error_exit_code(capsys):
+    # Gamma(200) is beyond the float range
+    rc, out, err = run_cli(capsys, "zeta", "--s", "200", "--x", "1",
+                           "--lambda", "0", "--method", "mellin")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: Gamma(200.0) overflows the float range\n"
+
+
 def test_verify_exactcore_passes(capsys):
     rc, out, _ = run_cli(capsys, "verify", "--suite", "exactcore")
     assert rc == 0

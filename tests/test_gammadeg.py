@@ -82,6 +82,8 @@ def test_gamma_classical_integer_and_quadrature():
     assert gamma_classical(2.5) == pytest.approx(math.gamma(2.5), abs=1e-9)
     with pytest.raises(DomainError):
         gamma_classical(0.0)
+    with pytest.raises(DomainError, match="overflows"):
+        gamma_classical(200.0)
 
 
 # ---------------------------------------------------------------------------

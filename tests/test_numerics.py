@@ -12,6 +12,7 @@ from degzeta.numerics import (
     DomainError,
     NonConvergentError,
     QuadConfig,
+    QuadResult,
     euler_transform_sum,
     quad_finite,
     quad_semi_infinite,
@@ -61,10 +62,42 @@ def test_quad_domain_error_on_nan():
 
 
 def test_quad_nonconvergent_budget():
-    # the 2000-subdivision budget runs out before 1e-14 is met
-    cfg = QuadConfig(rel_tol=1e-14)
+    # sin(1/t) oscillates without bound at 0: the 2000-subdivision budget
+    # runs out at the default tolerance, far above the roundoff floor
     with pytest.raises(NonConvergentError, match="after 2000 subdivisions"):
-        quad_finite(lambda t: t ** (-0.9), 0.0, 1.0, cfg)
+        quad_finite(lambda t: math.sin(1.0 / t), 0.0, 1.0)
+
+
+def test_quad_fails_fast_below_roundoff_floor():
+    # int_0^1 t^-0.9 dt = 10: the panels' roundoff floors sum to about
+    # 1.1e-14 * 10, which a relative 1e-14 can never get under
+    evals = [0]
+
+    def f(t):
+        evals[0] += 1
+        return t ** (-0.9)
+
+    with pytest.raises(NonConvergentError, match="roundoff floor .* above tolerance"):
+        quad_finite(f, 0.0, 1.0, QuadConfig(rel_tol=1e-14))
+    assert evals[0] <= 100
+
+
+def test_quad_tight_tolerance_converges_under_the_floor():
+    # Gamma(1.205|0.13) = 1.105, but each piece of the split at t = 1 is
+    # under 0.9, where the absolute 1e-14 governs, so rel_tol 1e-14 is met
+    from degzeta.gammadeg import gamma_deg
+
+    q = gamma_deg(1.205, 0.13, QuadConfig(rel_tol=1e-14))
+    assert q == QuadResult(1.1053122139216036, 1.7033760798713048e-14, 43)
+
+
+def test_quad_tail_underflow_is_nonconvergent():
+    # the integrand decays like t^-1.04; bisection toward u = 0 reaches a
+    # u whose square underflows before the tolerance is met
+    from degzeta.gammadeg import gamma_deg
+
+    with pytest.raises(NonConvergentError, match="u\\^2 underflows"):
+        gamma_deg(9.037435379717103, 0.1101307170454768)
 
 
 def test_kept_nonconvergent_error_does_not_pin_panels():

@@ -309,20 +309,20 @@ def test_continued_depth_independence():
     # the Taylor depth of the [0,1] piece must not affect the value once
     # the coefficients have decayed; slice the cached coefficient vectors
     from degzeta.zetadeg import _kernel_coeffs, _split_mellin
-    from degzeta.gammadeg import deg_kernel
+    from degzeta.gammadeg import deg_kernel, deg_log_kernel
     from degzeta.numerics import QuadConfig
-    from degzeta.zetadeg import deg_euler_zeta_kernel
+    from degzeta.zetadeg import deg_euler_zeta_kernel, deg_euler_zeta_log_kernel
 
     cfg = QuadConfig()
     s = -0.5
     num_coeffs = _kernel_coeffs(F(1), F(1, 10))
     den_coeffs = _kernel_coeffs(None, F(1, 10))
-    kern_n = deg_euler_zeta_kernel(1.0, 0.1)
-    kern_d = deg_kernel(0.1)
+    kern_n = deg_euler_zeta_kernel(1.0, 0.1), deg_euler_zeta_log_kernel(1.0, 0.1)
+    kern_d = deg_kernel(0.1), deg_log_kernel(0.1)
     values = []
     for depth in (60, len(num_coeffs)):
-        n, _ = _split_mellin(s, num_coeffs[:depth], kern_n, cfg)
-        d, _ = _split_mellin(s, den_coeffs[:depth], kern_d, cfg)
+        n, _ = _split_mellin(s, num_coeffs[:depth], *kern_n, cfg)
+        d, _ = _split_mellin(s, den_coeffs[:depth], *kern_d, cfg)
         values.append(n / d)
     assert abs(values[0] - values[1]) <= 1e-8
 
@@ -354,6 +354,14 @@ def test_gamma_continued_agrees_on_overlap():
     from degzeta.gammadeg import gamma_deg
 
     assert abs(gamma_deg_continued(1.5, 0.1) - gamma_deg(1.5, 0.1).value) <= 1e-8
+
+
+def test_continued_tail_power_beyond_float_range():
+    # t^(s-1) in the [1, inf) tail overflows at s = 80; the integrands do not
+    from degzeta.gammadeg import gamma_deg
+
+    assert _rel_err(gamma_deg_continued(80.0, 0.01), gamma_deg(80.0, 0.01).value) <= 1e-8
+    assert _rel_err(zeta_deg_continued(80.0, 1.0, 0.01), zeta_deg(80.0, 1.0, 0.01)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
