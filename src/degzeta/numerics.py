@@ -5,7 +5,10 @@ The quadrature engine integrates over [0, inf) by splitting at a finite
 point and compactifying the tail with u = 1/(1+t); both pieces are handled
 by adaptive bisection with a nested Gauss-Kronrod 7-15 rule.  Truncating
 the tail instead would be fragile here because the integrands of interest
-decay only polynomially.
+decay only polynomially.  The Mellin integrals of `gammadeg` and `zetadeg`
+call `quad_finite` and `quad_tail` themselves: their head [0, 1] is mapped
+by t = u^p, which removes the endpoint singularity of t^(s-1) that
+bisection would otherwise chase toward t = 0 (`gammadeg._mellin_quad`).
 
 The Euler transformation rewrites sum_m (-1)^m a_m as
 
@@ -119,9 +122,8 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    gauss = 0.0
-    kronrod = 0.0
-    samples = []
+    gauss = kronrod = 0.0
+    ys = []
     for x, wg, wk in _GK15:
         t = c + h * x
         y = f(t)
@@ -129,11 +131,15 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
             raise DomainError(f"integrand evaluated non-finite at t={t!r}")
         gauss += wg * y
         kronrod += wk * y
-        samples.append((wk, y))
-    value = kronrod * h
+        ys.append(y)
     mean = kronrod / 2.0
-    resabs = sum(wk * abs(y) for wk, y in samples) * h
-    resasc = sum(wk * abs(y - mean) for wk, y in samples) * h
+    resabs = resasc = 0.0  # explicit sums: sum() of floats rounds differently from 3.12
+    for (_, _, wk), y in zip(_GK15, ys):
+        resabs += wk * abs(y)
+        resasc += wk * abs(y - mean)
+    value = kronrod * h
+    resabs *= h
+    resasc *= h
     diff = abs(kronrod - gauss) * h
     err = diff
     if resasc != 0.0 and diff != 0.0:
@@ -161,7 +167,8 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
         NonConvergentError: rel_tol is below the roundoff floor for an
             integral this large, or the budget ran out with the error
             above the tolerance.
-        DomainError: a sample evaluated to NaN or infinity.
+        DomainError: a sample evaluated to NaN or infinity, or the finite
+            samples' weighted sums left the float range.
     """
     cfg = cfg or QuadConfig()
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
@@ -203,6 +210,9 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     finally:
         # a kept error's traceback keeps this frame, so drop the panels
         heap.clear()
+    if not (math.isfinite(total_val) and math.isfinite(total_err)):
+        raise DomainError(
+            f"quadrature sum overflows the float range ({total_val!r} +- {total_err!r})")
     return QuadResult(total_val, total_err, subdivisions)
 
 

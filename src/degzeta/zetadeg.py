@@ -64,7 +64,6 @@ from .numerics import (
     QuadConfig,
     QuadResult,
     euler_transform_sum,
-    quad_tail,
     richardson_limit,
 )
 
@@ -377,7 +376,7 @@ def _split_mellin(s: float, coeffs: tuple[float, ...], kern, log_kern,
     pole_part = 0.0
     for m, a in enumerate(coeffs):
         pole_part += a / (s + m)
-    tail = _mellin_quad(kern, log_kern, s, cfg, lambda f, c: quad_tail(f, 1.0, c))
+    tail = _mellin_quad(kern, log_kern, s, cfg, head=False)
     return pole_part + tail.value, tail.abs_error_estimate
 
 

@@ -148,6 +148,16 @@ def test_table_out_of_domain_cell_is_explicit_na(capsys):
     assert lines[2].split(",", 3)[3].startswith('"NA:')
 
 
+def test_table_overflow_cell_is_explicit_na(capsys):
+    rc, out, _ = run_cli(capsys, "table", "--function", "gamma",
+                         "--grid", "s=2,500;lambda=0.001", "--format", "csv")
+    assert rc == 0
+    lines = out.splitlines()
+    assert float(lines[1].split(",")[2]) == pytest.approx(1.003007015031, rel=1e-9)
+    assert lines[2].split(",", 2)[2] == (
+        "NA: the quadrature of the Mellin integral at s=500.0 overflows the float range,")
+
+
 def test_table_euler_integer_axis(capsys):
     rc, out, _ = run_cli(capsys, "table", "--function", "euler",
                          "--grid", "n=1:4:4;lambda=1/2", "--format", "csv")

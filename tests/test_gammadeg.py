@@ -2,6 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degzeta.gammadeg import (
     funceq_chain_residual,
@@ -13,7 +15,7 @@ from degzeta.gammadeg import (
     gamma_deg_via_chain,
     residue_closed_form,
 )
-from degzeta.numerics import DomainError
+from degzeta.numerics import DomainError, NonConvergentError
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,33 @@ def test_quadrature_matches_closed_form():
 def test_quadrature_known_values():
     assert gamma_deg(1.0, 0.2).value == pytest.approx(1.25, abs=1e-10)
     assert gamma_deg(2.0, 0.1).value == pytest.approx(1.0 / (0.9 * 0.8), abs=1e-9)
+
+
+def _gamma_beta(s: float, lam: float) -> float:
+    """lam^(-s) Gamma(s) Gamma(1/lam - s) / Gamma(1/lam), in lgamma form."""
+    return math.exp(math.lgamma(s) + math.lgamma(1.0 / lam - s)
+                    - math.lgamma(1.0 / lam) - s * math.log(lam))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.01, 0.9), st.floats(0.0, 1.0))
+def test_quadrature_matches_beta_sweep(lam, frac):
+    s = 0.01 * (0.9 / lam / 0.01) ** frac  # log-uniform on [0.01, 0.9/lam]
+    assert abs(gamma_deg(s, lam).value / _gamma_beta(s, lam) - 1) <= 1e-9
+
+
+def test_quadrature_small_s():
+    # t^(s-1) is nearly 1/t at the endpoint t = 0 of the head
+    assert abs(gamma_deg(0.01, 0.1).value / _gamma_beta(0.01, 0.1) - 1) <= 1e-9
+
+
+def test_mellin_failures_are_typed():
+    with pytest.raises(DomainError, match="overflows the float range"):
+        gamma_deg(500.0, 0.001)  # Gamma(500|0.001) is beyond the float range
+    with pytest.raises(DomainError, match="overflows the float range"):
+        gamma_deg(167.32, 0.001)  # 1.4e305, but the mapped tail's panel sums overflow
+    with pytest.raises(NonConvergentError, match="singularity at t = 0"):
+        gamma_deg(1e-3, 0.1)
 
 
 def test_small_lambda_approaches_classical():

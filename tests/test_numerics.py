@@ -61,6 +61,12 @@ def test_quad_domain_error_on_nan():
         quad_finite(lambda t: float("nan"), 0.0, 1.0)
 
 
+def test_quad_sum_beyond_float_range_is_domain_error():
+    # every sample is finite; the integral, 1e308 * 10, is not
+    with pytest.raises(DomainError, match="overflows the float range"):
+        quad_finite(lambda t: 1e308, 0.0, 10.0)
+
+
 def test_quad_nonconvergent_budget():
     # sin(1/t) oscillates without bound at 0: the 2000-subdivision budget
     # runs out at the default tolerance, far above the roundoff floor
@@ -88,7 +94,7 @@ def test_quad_tight_tolerance_converges_under_the_floor():
     from degzeta.gammadeg import gamma_deg
 
     q = gamma_deg(1.205, 0.13, QuadConfig(rel_tol=1e-14))
-    assert q == QuadResult(1.1053122139216036, 1.7033760798713048e-14, 43)
+    assert q == QuadResult(1.1053122139216036, 1.3150188083301639e-14, 9)
 
 
 def test_quad_tail_underflow_is_nonconvergent():

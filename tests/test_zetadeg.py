@@ -110,13 +110,14 @@ def test_int_form_domain():
 
 
 def test_series_routes_run_no_quadrature(monkeypatch):
-    from degzeta import gammadeg, zetadeg
+    from degzeta import gammadeg, numerics, zetadeg
 
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature reached from the series route")
 
     for module, name in ((zetadeg, "gamma_deg"), (zetadeg, "gamma_classical"),
-                         (zetadeg, "quad_tail"), (gammadeg, "quad_semi_infinite")):
+                         (gammadeg, "quad_finite"), (gammadeg, "quad_tail"),
+                         (numerics, "quad_finite")):
         monkeypatch.setattr(module, name, refuse)
     assert math.isfinite(zeta_deg(2.5, 1.0, 0.1))
     assert math.isfinite(zeta_deg_int(3, 2.0, 0.05))
@@ -157,6 +158,12 @@ def test_series_matches_mellin_relative_sweep(lam, x, frac):
 @given(st.floats(0.2, 4.0), st.floats(0.5, 3.0))
 def test_classical_series_matches_mellin_relative_sweep(s, x):
     assert abs(euler_zeta(s, x) / euler_zeta_mellin(s, x).value - 1) <= 1e-8
+
+
+def test_mellin_small_s():
+    # t^(s-1) is nearly 1/t at the endpoint t = 0 of the heads
+    assert abs(euler_zeta_mellin(0.01, 1.0).value / euler_zeta(0.01, 1.0) - 1) <= 1e-9
+    assert abs(zeta_deg_mellin(0.01, 1.0, 0.1).value / zeta_deg(0.01, 1.0, 0.1) - 1) <= 1e-9
 
 
 def test_mellin_integrand_power_beyond_float_range():
