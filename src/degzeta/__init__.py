@@ -32,7 +32,6 @@ from .numerics import (
     QuadConfig,
     QuadResult,
     euler_transform_sum,
-    quad_semi_infinite,
     richardson_limit,
 )
 from .verify import VerifyReport, run_suite
@@ -77,7 +76,6 @@ __all__ = [
     "gamma_deg",
     "gamma_deg_closed",
     "gamma_deg_residue",
-    "quad_semi_infinite",
     "residue_closed_form",
     "richardson_limit",
     "run_suite",

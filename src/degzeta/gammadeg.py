@@ -30,7 +30,6 @@ from fractions import Fraction
 from .exactcore import RationalLike, TruncatedSeries, as_rational, ffd, kernel_series
 from .numerics import (
     DomainError,
-    NonConvergentError,
     QuadConfig,
     QuadResult,
     quad_finite,
@@ -65,53 +64,54 @@ def deg_log_kernel(lam: float):
     return lambda t: -math.log1p(lam * t) / lam
 
 
-def _mellin_quad(kern, log_kern, s: float, cfg: QuadConfig | None, *,
-                 head: bool = True) -> QuadResult:
-    """int_0^inf kern(t) t^(s-1) dt, split at t = 1; with head=False the tail alone.
+_HEAD_ROUNDOFF = 4.0 * 2.220446049250313e-16  # rounding of 1/s + I and of k(t) - 1
 
-    The head [0, 1] is integrated in u = t^(1/p), where t^(s-1) dt =
-    p u^(ps-1) du, with p = min((floor(s)+2)/s, 10).  For s >= 0.2 the
-    power ps-1 = floor(s)+1 is a positive integer, so p kern(u^p) u^(ps-1)
-    is analytic and needs no bisection toward t = 0.  The cap is for
-    correctness: it keeps t in (1e-10, 1) on u in (0.1, 1), which the
-    first panel samples, and leaves below s = 0.2 the milder singularity
-    u^(10s-1), which bisection resolves down to s ~ 3e-3.  Every kernel
-    here lies in [0, 2], so the head integrand overflows only there.
 
-    The tail [1, inf) is `quad_tail` of kern(t) t^(s-1), where the power
-    alone can overflow at large t and s while the product stays in range:
-    it is redone as exp(log_kern(t) + (s-1) log t) if a sample overflows.
+def _mellin_quad(kern, log_kern, s: float, cfg: QuadConfig | None) -> QuadResult:
+    """int_0^inf kern(t) t^(s-1) dt, s > 0, for a kernel with kern(0) = 1.
+
+    The head [0, 1] is 1/s + I, I = int_0^1 (kern(t) - 1) t^(s-1) dt.  I
+    is integrated in u = t^(1/p), p = (floor(s)+4)/(s+1), where t^(s-1) dt
+    = p u^(ps-1) du and (kern(u^p) - 1) p u^(ps-1) ~ u^(floor(s)+3), a
+    positive integer power: no bisection chases t = 0, for any s > 0.
+    p <= 4, so the first panel's samples keep t above ~3e-10.  The head's
+    estimate adds 4 eps |head| for the rounding of kern(t) - 1 and of
+    1/s + I, most of the estimate at small s.  Every kernel here lies in
+    [0, 2] on [0, 1], so the head cannot overflow.  The tail [1, inf) is
+    `_mellin_tail`, whose errors pass through.
+    """
+    p = (math.floor(s) + 4.0) / (s + 1.0)
+    q = p * s - 1.0
+    h = quad_finite(lambda u: p * (kern(u**p) - 1.0) * u**q, 0.0, 1.0, cfg)
+    head = 1.0 / s + h.value
+    tail = _mellin_tail(kern, log_kern, s, cfg)
+    return QuadResult(head + tail.value,
+                      h.abs_error_estimate + _HEAD_ROUNDOFF * abs(head) + tail.abs_error_estimate,
+                      h.subdivisions + tail.subdivisions)
+
+
+def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None) -> QuadResult:
+    """int_1^inf kern(t) t^(s-1) dt by `quad_tail`.
+
+    The power alone can overflow at large t and s while the product stays
+    in range, so the tail is redone as exp(log_kern(t) + (s-1) log t) if
+    a sample overflows.
 
     Raises:
-        DomainError: the tail's quadrature, in logs too, leaves the float
-            range: the value does, or lies within a factor ~1e4 of its edge.
-        NonConvergentError: a piece did not converge; for the head below
-            s ~ 3e-3, bisection toward its singularity at t = 0 left the
-            float range.
+        DomainError: the quadrature, in logs too, leaves the float range:
+            the value does, or lies within a factor ~1e4 of its edge.
+        NonConvergentError: the quadrature did not converge.
     """
-    if head:
-        p = min((math.floor(s) + 2.0) / s, 10.0)
-        q = p * s - 1.0
-        try:
-            h = quad_finite(lambda u: p * kern(u**p) * u**q, 0.0, 1.0, cfg)
-        except (OverflowError, DomainError):
-            raise NonConvergentError(
-                f"the Mellin head's singularity at t = 0 is not resolved for s={s!r}: "
-                f"bisection toward u^{q:.6g} left the float range") from None
     sm1 = s - 1.0
     try:
-        tail = quad_tail(lambda t: kern(t) * t**sm1, 1.0, cfg)
+        return quad_tail(lambda t: kern(t) * t**sm1, 1.0, cfg)
     except (OverflowError, DomainError):
         try:
-            tail = quad_tail(lambda t: math.exp(log_kern(t) + sm1 * math.log(t)), 1.0, cfg)
+            return quad_tail(lambda t: math.exp(log_kern(t) + sm1 * math.log(t)), 1.0, cfg)
         except (OverflowError, DomainError):
             raise DomainError(
                 f"the quadrature of the Mellin integral at s={s!r} overflows "
                 f"the float range") from None
-    if not head:
-        return tail
-    return QuadResult(h.value + tail.value, h.abs_error_estimate + tail.abs_error_estimate,
-                      h.subdivisions + tail.subdivisions)
 
 
 def _check_domain(s: float, lam: float) -> None:

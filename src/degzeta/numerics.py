@@ -1,14 +1,15 @@
 """Floating-point engines: adaptive quadrature, alternating-series
 summation by the Euler transformation, and Richardson extrapolation.
 
-The quadrature engine integrates over [0, inf) by splitting at a finite
-point and compactifying the tail with u = 1/(1+t); both pieces are handled
-by adaptive bisection with a nested Gauss-Kronrod 7-15 rule.  Truncating
-the tail instead would be fragile here because the integrands of interest
-decay only polynomially.  The Mellin integrals of `gammadeg` and `zetadeg`
-call `quad_finite` and `quad_tail` themselves: their head [0, 1] is mapped
-by t = u^p, which removes the endpoint singularity of t^(s-1) that
-bisection would otherwise chase toward t = 0 (`gammadeg._mellin_quad`).
+The quadrature engine is adaptive bisection with a nested Gauss-Kronrod
+7-15 rule, on a finite interval (`quad_finite`) or on [a, inf) compactified
+by u = 1/(1+t) (`quad_tail`).  Truncating the tail instead would be
+fragile here because the integrands of interest decay only polynomially.
+The Mellin integrals int_0^inf k(t) t^(s-1) dt of `gammadeg` and `zetadeg`
+split at t = 1 and call both (`gammadeg._mellin_quad`).  Every kernel there
+has k(0) = 1, so the head is 1/s plus the integral of (k(t) - 1) t^(s-1),
+which t = u^p turns into an integer power of u: no bisection chases the
+endpoint singularity of t^(s-1) toward t = 0.
 
 The Euler transformation rewrites sum_m (-1)^m a_m as
 
@@ -38,7 +39,6 @@ __all__ = [
     "AccelResult",
     "quad_finite",
     "quad_tail",
-    "quad_semi_infinite",
     "euler_transform_sum",
     "richardson_limit",
 ]
@@ -55,7 +55,6 @@ class NonConvergentError(ArithmeticError):
 _ABS_FLOOR = 1e-14
 _ROUNDOFF = 50.0 * 2.220446049250313e-16  # QUADPACK's 50 eps error floor
 _MAX_BISECTIONS = 2000
-_SPLIT_T = 1.0
 
 
 @dataclass(frozen=True)
@@ -228,6 +227,8 @@ def quad_tail(f: Callable[[float], float], a: float,
         NonConvergentError: bisection reached a u whose square underflows
             to 0 (u < ~1e-162), where an integrand that decays too slowly
             for the tolerance still needs refining.
+        DomainError: f(t) / u^2 is not finite at a sample; the message
+            names t, not u.
     """
     if a < 0:
         raise DomainError("lower bound must be >= 0")
@@ -238,28 +239,12 @@ def quad_tail(f: Callable[[float], float], a: float,
         if uu == 0.0:
             raise NonConvergentError(
                 f"tail not resolved: bisection reached u={u!r}, where u^2 underflows")
-        return f(t) / uu
+        y = f(t) / uu
+        if not math.isfinite(y):
+            raise DomainError(f"integrand evaluated non-finite at t={t!r}")
+        return y
 
     return quad_finite(mapped, 0.0, 1.0 / (1.0 + a), cfg)
-
-
-def quad_semi_infinite(f: Callable[[float], float],
-                       cfg: QuadConfig | None = None) -> QuadResult:
-    """Integral of f over (0, inf), split at t = 1 (_SPLIT_T).
-
-    The head [0, 1] is integrated directly (integrable endpoint
-    singularities like t^(s-1), s > 0, are resolved by bisection); the
-    tail [1, inf) is compactified by u = 1/(1+t).  Each piece gets its
-    own budget of _MAX_BISECTIONS; error estimates and subdivision
-    counts of the two pieces are summed.
-    """
-    head = quad_finite(f, 0.0, _SPLIT_T, cfg)
-    tail = quad_tail(f, _SPLIT_T, cfg)
-    return QuadResult(
-        head.value + tail.value,
-        head.abs_error_estimate + tail.abs_error_estimate,
-        head.subdivisions + tail.subdivisions,
-    )
 
 
 _SUM_REL_TOL = 1e-13

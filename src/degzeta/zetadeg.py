@@ -53,6 +53,7 @@ from .gammadeg import (
     _gamma_ratio,
     _gamma_ratio_frexp,
     _mellin_quad,
+    _mellin_tail,
     deg_kernel,
     deg_log_kernel,
     gamma_classical,
@@ -376,7 +377,7 @@ def _split_mellin(s: float, coeffs: tuple[float, ...], kern, log_kern,
     pole_part = 0.0
     for m, a in enumerate(coeffs):
         pole_part += a / (s + m)
-    tail = _mellin_quad(kern, log_kern, s, cfg, head=False)
+    tail = _mellin_tail(kern, log_kern, s, cfg)
     return pole_part + tail.value, tail.abs_error_estimate
 
 

@@ -41,6 +41,14 @@ def test_gamma_value_and_fields(capsys):
     assert payload["subdivisions"] >= 0
 
 
+def test_gamma_small_s(capsys):
+    # Gamma(0.001|0.1) = 999.4746..., the head's 1/s taken out in closed form
+    rc, out, _ = run_cli(capsys, "gamma", "--s", "0.001", "--lambda", "0.1",
+                         "--format", "json")
+    assert rc == 0
+    assert float(json.loads(out)["value"]) == pytest.approx(999.47462954606, rel=1e-12)
+
+
 def test_zeta_auto_dispatch_exact_negative(capsys):
     rc, out, _ = run_cli(capsys, "zeta", "--s", "-2", "--x", "1",
                          "--lambda", "1/4", "--format", "json")

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from degzeta.gammadeg import (
     gamma_deg_via_chain,
     residue_closed_form,
 )
-from degzeta.numerics import DomainError, NonConvergentError
+from degzeta.numerics import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +70,36 @@ def _gamma_beta(s: float, lam: float) -> float:
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.01, 0.9), st.floats(0.0, 1.0))
 def test_quadrature_matches_beta_sweep(lam, frac):
-    s = 0.01 * (0.9 / lam / 0.01) ** frac  # log-uniform on [0.01, 0.9/lam]
+    s = 1e-6 * (0.9 / lam / 1e-6) ** frac  # log-uniform on [1e-6, 0.9/lam]
     assert abs(gamma_deg(s, lam).value / _gamma_beta(s, lam) - 1) <= 1e-9
 
 
 def test_quadrature_small_s():
     # t^(s-1) is nearly 1/t at the endpoint t = 0 of the head
-    assert abs(gamma_deg(0.01, 0.1).value / _gamma_beta(0.01, 0.1) - 1) <= 1e-9
+    for s in (1e-6, 1e-4, 3e-3, 0.01):
+        assert abs(gamma_deg(s, 0.1).value / _gamma_beta(s, 0.1) - 1) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# frozen 30-digit references (tests/data/make_gamma_references.py)
+# ---------------------------------------------------------------------------
+
+_REFERENCES = json.loads(
+    (Path(__file__).parent / "data" / "gamma_references.json").read_text())
+
+_NEAR_THRESHOLD = pytest.mark.xfail(
+    strict=True, reason="ROADMAP 1(b): near s = 1/lambda the tail's error "
+                        "estimate falls short of its error")
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, id=f"s={row['s']},lam={row['lambda']}",
+                 marks=_NEAR_THRESHOLD if row["kind"] == "near_threshold" else ())
+    for row in _REFERENCES])
+def test_frozen_reference_within_estimate(row):
+    # exact rational comparison: the estimate must cover the error, no slack
+    q = gamma_deg(row["s"], row["lambda"])
+    assert abs(F(q.value) - F(row["value"])) <= F(q.abs_error_estimate)
 
 
 def test_mellin_failures_are_typed():
@@ -82,8 +107,8 @@ def test_mellin_failures_are_typed():
         gamma_deg(500.0, 0.001)  # Gamma(500|0.001) is beyond the float range
     with pytest.raises(DomainError, match="overflows the float range"):
         gamma_deg(167.32, 0.001)  # 1.4e305, but the mapped tail's panel sums overflow
-    with pytest.raises(NonConvergentError, match="singularity at t = 0"):
-        gamma_deg(1e-3, 0.1)
+    # the head's 1/s is taken out in closed form, so small s is a value
+    assert abs(gamma_deg(1e-3, 0.1).value / _gamma_beta(1e-3, 0.1) - 1) <= 1e-13
 
 
 def test_small_lambda_approaches_classical():
