@@ -315,12 +315,127 @@ def zeta_deg_neg_plain(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
 # where a_m are the Taylor coefficients of the kernel k at t = 0: the
 # [0,1] piece is integrated termwise (the coefficient series converges
 # geometrically well past t = 1), exposing the poles explicitly.
+#
+# The a_m are needed only as correctly rounded floats, so they come from
+# a fixed-point pass over integers scaled by 2^320 that carries an error
+# radius, and each float is certified by Ziv's rounding test.  Exact
+# rationals at float (x, lam) would grow to ~9k bits by depth 81: on a
+# 2-vCPU VM they cost 9-28 ms per pair, the pass 2-4 ms, and at
+# lam = 0.85 (depth 401) 5.7 s against 0.2 s.  They remain the fallback
+# for a coefficient that is an exact float midpoint or zero.
 # ---------------------------------------------------------------------------
 
 _COEFF_NEGLIGIBLE = 1e-24
 _COEFF_DEPTH_MIN = 80
 _COEFF_DEPTH_STEP = 40
 _COEFF_DEPTH_MAX = 600
+# bits of the first fixed-point pass; each shortfall doubles them
+_FIXED_BITS = 320
+
+
+def _falling_fixed(y: Fraction, lam: Fraction, bits: int):
+    """Yield (f, r) with |f - 2^bits (y|lam)_m / m!| <= r, m = 0, 1, ...
+
+    With y = a/b and lam = p/q the m-th factor (y - (m-1) lam)/m is
+    N/(bqm) for an integer N, so it costs one floor division; the radius
+    is scaled by |N|/(bqm), rounded up, plus 1 for the floor.
+    """
+    base = y.numerator * lam.denominator
+    step = lam.numerator * y.denominator
+    den = y.denominator * lam.denominator
+    f, r, m = 1 << bits, 0, 0
+    while True:
+        yield f, r
+        num = base - m * step
+        m += 1
+        f = f * num // (den * m)
+        r = -(-r * abs(num) // (den * m)) + 1
+
+
+def _fixed_coeffs(x: Fraction | None, lam: Fraction, bits: int):
+    """Yield (c, r) with |c - 2^bits a_k| <= r for the kernel's coefficients a_k.
+
+    The gamma kernel's a_k are B_k = (-1|lam)_k / k!.  The zeta kernel's
+    are c_k of 2A/(B+1), A_k = (-x|lam)_k / k!, from
+    2 c_k = 2 A_k - sum_{j<k} c_j B_{k-j}: the convolution is summed exactly
+    at scale 2^(2 bits) and floored once, and each of its terms adds the
+    radius |c_j| r(B_{k-j}) + (|B_{k-j}| + r(B_{k-j})) r_j of a ball product.
+    """
+    b_series = _falling_fixed(Fraction(-1), lam, bits)
+    if x is None:
+        yield from b_series
+        return
+    cs, cs_abs, rs = [], [], []
+    bs, bs_mag, bs_r = [], [], []  # B_m, |B_m| + r(B_m), r(B_m)
+    for (a, ra), (b, rb) in zip(_falling_fixed(-x, lam, bits), b_series):
+        bs.append(b)
+        bs_mag.append(abs(b) + rb)
+        bs_r.append(rb)
+        # j = 0..k-1 against B_k..B_1
+        conv = sum(map(int.__mul__, cs, bs[:0:-1]))
+        err = (sum(cj * rbm for cj, rbm in zip(cs_abs, bs_r[:0:-1]))
+               + sum(rj * bm for rj, bm in zip(rs, bs_mag[:0:-1])))
+        c = ((a << (bits + 1)) - conv) >> (bits + 1)
+        r = ra + (err >> (bits + 1)) + 2
+        cs.append(c)
+        cs_abs.append(abs(c))
+        rs.append(r)
+        yield c, r
+
+
+def _exact_coeffs(x: Fraction | None, lam: Fraction):
+    """Yield float(a_k) from the exact integers, k = 0, 1, ...
+
+    With lam = p/q and x = a/b, a_k is (-1)^k euler_scaled(x, -lam)_k over
+    (2bq)^k k!, or ffd_scaled(-1, lam)_k over q^k k! for the gamma kernel;
+    int / int true division is correctly rounded.
+    """
+    if x is None:
+        nums = ffd_scaled(Fraction(-1), lam)
+        scale = lam.denominator
+    else:
+        nums = (-f if m % 2 else f for m, f in enumerate(euler_scaled(x, -lam)))
+        scale = 2 * x.denominator * lam.denominator
+    den = 1
+    for m, num in enumerate(nums):
+        if m > 0:
+            den *= scale * m
+        yield num / den
+
+
+def _certified_coeffs(x: Fraction | None, lam: Fraction):
+    """Yield float(a_k), k = 0, 1, ..., each certified or exact.
+
+    A fixed-point pass gives 2^bits a_k as c within r.  (c - r)/2^bits
+    and (c + r)/2^bits are int / int true divisions, so correctly rounded;
+    when they are the same float, that float is float(a_k) (Ziv's
+    rounding test).  Otherwise the interval holds a rounding boundary.
+    If it also holds 0, or r is under 2^-20 ulp, a_k is most likely an
+    exact zero or float midpoint, which no precision certifies, so its
+    float comes from `_exact_coeffs`, resumed up to k.  Else the pass is
+    rerun at twice the bits, from the first coefficient not yet yielded.
+    """
+    exact = _exact_coeffs(x, lam)
+    taken = 0  # coefficients drawn from `exact`
+    done = 0  # coefficients yielded
+    bits = _FIXED_BITS
+    while True:
+        unit = 1 << bits
+        for k, (c, r) in enumerate(_fixed_coeffs(x, lam, bits)):
+            if k < done:
+                continue
+            value = (c - r) / unit
+            if value != (c + r) / unit:
+                if c - r > 0 or c + r < 0:
+                    num, den = math.ulp(value).as_integer_ratio()
+                    if (r * den) << 20 >= num << bits:
+                        break
+                while taken <= k:
+                    value = next(exact)
+                    taken += 1
+            done += 1
+            yield value
+        bits *= 2
 
 
 @lru_cache(maxsize=None)
@@ -329,28 +444,19 @@ def _kernel_coeffs(x: Fraction | None, lam: Fraction) -> tuple[float, ...]:
 
     With x None the kernel is (1+lam*t)^(-1/lam), whose coefficients are
     (-1|lam)_m / m!; otherwise it is F(-t,x|-lam), whose coefficients are
-    (-1)^m E_m(x|-lam) / m!.  Both are exact integers over scale^m m!
-    (scale q, resp. 2bq, for lam = p/q and x = a/b), extended one term at
-    a time; int / int true division is correctly rounded, so each float
-    equals float() of the exact rational.  The depth grows from 80 in
-    steps of 40 until the last six coefficients are negligible.
+    (-1)^m E_m(x|-lam) / m!.  Each float equals float() of the exact
+    rational: `_certified_coeffs` proves it from a fixed-point value and
+    its error bound, or takes the exact rational where no bound can.  The
+    depth grows from 80 in steps of 40 until the last six coefficients
+    are negligible.
 
     Raises:
         NonConvergentError: the coefficients are still above the
             negligible level at the depth cap.
     """
-    if x is None:
-        nums = ffd_scaled(Fraction(-1), lam)
-        scale = lam.denominator
-    else:
-        nums = (-f if m % 2 else f for m, f in enumerate(euler_scaled(x, -lam)))
-        scale = 2 * x.denominator * lam.denominator
     coeffs = []
-    den = 1
-    for m, num in enumerate(nums):
-        if m > 0:
-            den *= scale * m
-        coeffs.append(num / den)
+    for m, a in enumerate(_certified_coeffs(x, lam)):
+        coeffs.append(a)
         if m >= _COEFF_DEPTH_MIN and (m - _COEFF_DEPTH_MIN) % _COEFF_DEPTH_STEP == 0:
             tail = max(abs(c) for c in coeffs[-6:])
             if tail < _COEFF_NEGLIGIBLE:

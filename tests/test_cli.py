@@ -98,6 +98,14 @@ def test_zeta_routes(capsys, s, method, used, expected):
     assert (payload["method"], payload["value"]) == (used, expected)
 
 
+@pytest.mark.parametrize("lam", ["0.85", "17/20"])
+def test_zeta_continued_deep_kernel(capsys, lam):
+    # lambda = 0.85 needs Taylor depth 401 for the numerator kernel
+    rc, out, _ = run_cli(capsys, "zeta", "--s", "-1.5", "--x", "3", "--lambda", lam)
+    assert rc == 0
+    assert out == "3.4068525914626311e+00\n"
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 @pytest.mark.parametrize("argv", [
     ["zeta", "--s", "2.5", "--x", "1", "--lambda", "0.1"],

@@ -14,7 +14,9 @@ from degzeta.exactcore import (
     euler_poly_classic,
     euler_poly_deg,
     euler_poly_deg_values,
+    euler_scaled,
     ffd,
+    ffd_scaled,
     kernel_series,
     series_oracle,
 )
@@ -190,18 +192,32 @@ def _fraction_values(n_max, x, lam):
     return values
 
 
+def _midpoint_or_zero(v):
+    """v is 0 or halfway between two adjacent floats: no error bound certifies float(v)."""
+    f = float(v)
+    return v == 0 or 2 * v == F(f) + F(math.nextafter(f, math.inf if v > f else -math.inf))
+
+
+# (x, lam) -> k where the zeta kernel's coefficient is a float midpoint or
+# zero, so that its float comes from the exact fallback
+_KERNEL_TIES = {(F(1.5), F(0.06)): 2, (F(1), F(1, 4)): 5, (F(3), F(1, 4)): 80}
+
+
 @pytest.mark.parametrize("x, lam", [
     (F(1), F(1, 10)),
     (F(1.3), F(0.1)),
     (F(2.7), F(0.27)),
+    *_KERNEL_TIES,
 ])
 def test_kernel_coeff_floats_match_fraction_route(x, lam):
     from degzeta.zetadeg import _kernel_coeffs
 
     zeta = _kernel_coeffs(x, lam)
     values = _fraction_values(len(zeta) - 1, x, -lam)
-    assert zeta == tuple(float((-1) ** m * e / math.factorial(m))
-                         for m, e in enumerate(values))
+    exact = [(-1) ** m * e / math.factorial(m) for m, e in enumerate(values)]
+    assert zeta == tuple(float(v) for v in exact)
+    if (x, lam) in _KERNEL_TIES:
+        assert _midpoint_or_zero(exact[_KERNEL_TIES[x, lam]])
     gamma = _kernel_coeffs(None, lam)
     num, expected = F(1), []
     for k in range(len(gamma)):
@@ -209,6 +225,53 @@ def test_kernel_coeff_floats_match_fraction_route(x, lam):
             num *= -1 - (k - 1) * lam
         expected.append(float(num / math.factorial(k)))
     assert gamma == tuple(expected)
+
+
+def _integer_route(x, lam, n):
+    """The first n kernel coefficients as Fractions from the exact integers.
+
+    (-1)^m euler_scaled(x, -lam)_m / ((2bq)^m m!), or with x None
+    ffd_scaled(-1, lam)_m / (q^m m!), for x = a/b and lam = p/q.
+    """
+    if x is None:
+        nums, scale, sign = ffd_scaled(F(-1), lam), lam.denominator, 1
+    else:
+        nums, scale, sign = euler_scaled(x, -lam), 2 * x.denominator * lam.denominator, -1
+    return [F(sign ** m * num, scale ** m * math.factorial(m))
+            for m, num in zip(range(n), nums)]
+
+
+@pytest.mark.parametrize("x", [F(3), None])
+def test_kernel_coeff_floats_match_integer_route_deep(x):
+    # lambda = 17/20 takes the kernels to depth 361 and 401; near k = 374
+    # the zeta kernel's first fixed-point pass runs out of bits and is rerun
+    from degzeta.zetadeg import _kernel_coeffs
+
+    lam = F(17, 20)
+    coeffs = _kernel_coeffs(x, lam)
+    assert len(coeffs) > 200
+    assert coeffs == tuple(map(float, _integer_route(x, lam, len(coeffs))))
+
+
+@pytest.mark.parametrize("x, lam", [(F(1.3), F(0.1)), (F(3), F(17, 20)), (None, F(17, 20))])
+def test_fixed_point_radius_bounds_the_error(x, lam):
+    # the certificate rests on |c - 2^bits a_k| <= r, also where the bits
+    # run short: 64 of them hold none of the deep coefficients
+    from degzeta.zetadeg import _fixed_coeffs
+
+    bits = 64
+    for (c, r), a in zip(_fixed_coeffs(x, lam, bits), _integer_route(x, lam, 120)):
+        assert abs(c - a * 2 ** bits) <= r
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(min_value=0.5, max_value=4.0), st.floats(min_value=0.01, max_value=0.3))
+def test_kernel_coeff_floats_match_integer_route_property(x, lam):
+    from degzeta.zetadeg import _kernel_coeffs
+
+    for xf in (F(x), None):
+        coeffs = _kernel_coeffs(xf, F(lam))
+        assert coeffs == tuple(map(float, _integer_route(xf, F(lam), len(coeffs))))
 
 
 # ---------------------------------------------------------------------------

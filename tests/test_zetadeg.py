@@ -337,9 +337,11 @@ def test_continued_depth_independence():
 
 def test_continued_fails_fast_at_depth_cap():
     # at lambda = 0.97 the kernel coefficients decay like 0.97^m and are
-    # still ~1e-8 at the depth cap
+    # still above the negligible level at the depth cap
     with pytest.raises(NonConvergentError):
         gamma_deg_continued(-0.5, 0.97)
+    with pytest.raises(NonConvergentError):
+        zeta_deg_continued(-0.5, 1.0, 0.97)
 
 
 def test_continued_pole_guard():
