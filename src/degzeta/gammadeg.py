@@ -32,6 +32,7 @@ from .numerics import (
     DomainError,
     QuadConfig,
     QuadResult,
+    _quad_tail_power,
     quad_finite,
     quad_tail,
 )
@@ -65,9 +66,12 @@ def deg_log_kernel(lam: float):
 
 
 _HEAD_ROUNDOFF = 4.0 * 2.220446049250313e-16  # rounding of 1/s + I and of k(t) - 1
+_TAIL_R_MAX = 64.0  # cap on the tail map's power r, which grows like 3/eps as eps -> 0
+_LOG_PEAK_ROOM = 500.0  # log of the largest integrand the log-form tail keeps unscaled
 
 
-def _mellin_quad(kern, log_kern, s: float, cfg: QuadConfig | None) -> QuadResult:
+def _mellin_quad(kern, log_kern, s: float, cfg: QuadConfig | None,
+                 rate: float | None = None) -> QuadResult:
     """int_0^inf kern(t) t^(s-1) dt, s > 0, for a kernel with kern(0) = 1.
 
     The head [0, 1] is 1/s + I, I = int_0^1 (kern(t) - 1) t^(s-1) dt.  I
@@ -78,40 +82,85 @@ def _mellin_quad(kern, log_kern, s: float, cfg: QuadConfig | None) -> QuadResult
     estimate adds 4 eps |head| for the rounding of kern(t) - 1 and of
     1/s + I, most of the estimate at small s.  Every kernel here lies in
     [0, 2] on [0, 1], so the head cannot overflow.  The tail [1, inf) is
-    `_mellin_tail`, whose errors pass through.
+    `_mellin_tail`, given the kernel's decay rate, and its errors pass
+    through.
     """
     p = (math.floor(s) + 4.0) / (s + 1.0)
     q = p * s - 1.0
     h = quad_finite(lambda u: p * (kern(u**p) - 1.0) * u**q, 0.0, 1.0, cfg)
     head = 1.0 / s + h.value
-    tail = _mellin_tail(kern, log_kern, s, cfg)
+    tail = _mellin_tail(kern, log_kern, s, cfg, rate)
     return QuadResult(head + tail.value,
                       h.abs_error_estimate + _HEAD_ROUNDOFF * abs(head) + tail.abs_error_estimate,
                       h.subdivisions + tail.subdivisions)
 
 
-def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None) -> QuadResult:
-    """int_1^inf kern(t) t^(s-1) dt by `quad_tail`.
+def _log_peak(log_f) -> float:
+    """Largest log_f(t) over t = 2^(k/4) >= 1, scanned until it falls 40 below it."""
+    peak = -math.inf
+    for k in range(4096):
+        y = log_f(2.0 ** (k / 4.0))
+        peak = max(peak, y)
+        if y < peak - 40.0:
+            break
+    return peak
+
+
+def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
+                 rate: float | None = None) -> QuadResult:
+    """int_1^inf kern(t) t^(s-1) dt, where kern(t) decays like t^(-rate).
+
+    In u = 1/(1+t) a kernel of algebraic decay rate a leaves u^(eps-1) g(u)
+    at u = 0, eps = a - s and g smooth, which bisection chases for any
+    non-integer eps.  So for a given rate the tail is taken in
+    u = w^r, r = min(64, (floor(eps)+3)/eps) (`numerics._quad_tail_power`),
+    where the integrand is r w^(floor(eps)+2) g(w^r): a positive integer
+    power of w for every eps above 3/64, the tail twin of the head's map.
+    Any r > 0 gives the same integral, so eps need not be exact.  Without
+    a rate (the classical kernel decays exponentially; the continuation's
+    `_split_mellin`) the tail is `quad_tail`, the plain u-map.
 
     The power alone can overflow at large t and s while the product stays
-    in range, so the tail is redone as exp(log_kern(t) + (s-1) log t) if
-    a sample overflows.
+    in range, so the tail is redone as exp(log_kern(t) + (s-1) log t) if a
+    sample or a sum overflows.  If the log of that integrand's peak,
+    L (`_log_peak`), is above 500, the integrand is divided by exp(L - 500)
+    and the result multiplied back: the peak then sits at ~1e217, clear of
+    overflow, including the map's r/(u w), and far above the absolute floor
+    1e-14, so the tolerance stays relative as it is unscaled.  Below that
+    nothing is scaled.
 
     Raises:
         DomainError: the quadrature, in logs too, leaves the float range:
             the value does, or lies within a factor ~1e4 of its edge.
         NonConvergentError: the quadrature did not converge.
     """
+    if rate is not None:
+        eps = rate - s
+        r = min(_TAIL_R_MAX, (math.floor(eps) + 3.0) / eps)
+
+    def tail(f) -> QuadResult:
+        return quad_tail(f, 1.0, cfg) if rate is None else _quad_tail_power(f, r, cfg)
+
     sm1 = s - 1.0
     try:
-        return quad_tail(lambda t: kern(t) * t**sm1, 1.0, cfg)
+        return tail(lambda t: kern(t) * t**sm1)
     except (OverflowError, DomainError):
-        try:
-            return quad_tail(lambda t: math.exp(log_kern(t) + sm1 * math.log(t)), 1.0, cfg)
-        except (OverflowError, DomainError):
-            raise DomainError(
-                f"the quadrature of the Mellin integral at s={s!r} overflows "
-                f"the float range") from None
+        pass
+
+    def log_f(t: float) -> float:
+        return log_kern(t) + sm1 * math.log(t)
+
+    shift = max(0.0, _log_peak(log_f) - _LOG_PEAK_ROOM)
+    try:
+        q = tail(lambda t: math.exp(log_f(t) - shift))
+        value, err = q.value * math.exp(shift), q.abs_error_estimate * math.exp(shift)
+    except (OverflowError, DomainError):
+        value = err = math.inf
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(
+            f"the quadrature of the Mellin integral at s={s!r} overflows "
+            f"the float range")
+    return QuadResult(value, err, q.subdivisions)
 
 
 def _check_domain(s: float, lam: float) -> None:
@@ -133,7 +182,7 @@ def gamma_deg(s: float, lam: float, cfg: QuadConfig | None = None) -> QuadResult
     than returning a huge number.
     """
     _check_domain(s, lam)
-    return _mellin_quad(deg_kernel(lam), deg_log_kernel(lam), s, cfg)
+    return _mellin_quad(deg_kernel(lam), deg_log_kernel(lam), s, cfg, 1.0 / lam)
 
 
 def gamma_deg_closed(n: int, lam: RationalLike) -> Fraction:

@@ -6,10 +6,14 @@ The quadrature engine is adaptive bisection with a nested Gauss-Kronrod
 by u = 1/(1+t) (`quad_tail`).  Truncating the tail instead would be
 fragile here because the integrands of interest decay only polynomially.
 The Mellin integrals int_0^inf k(t) t^(s-1) dt of `gammadeg` and `zetadeg`
-split at t = 1 and call both (`gammadeg._mellin_quad`).  Every kernel there
-has k(0) = 1, so the head is 1/s plus the integral of (k(t) - 1) t^(s-1),
-which t = u^p turns into an integer power of u: no bisection chases the
-endpoint singularity of t^(s-1) toward t = 0.
+split at t = 1 and take both parts with `quad_finite`
+(`gammadeg._mellin_quad`).  Every kernel there has k(0) = 1, so the head
+is 1/s plus the integral of (k(t) - 1) t^(s-1), which t = u^p turns into
+an integer power of u: no bisection chases the endpoint singularity of
+t^(s-1) toward t = 0.  A kernel that decays like t^(-a) leaves the tail
+u^(a-s-1) times a smooth factor at u = 1/(1+t) = 0, and u = w^r
+(`_quad_tail_power`) turns that into an integer power of w too, with r
+chosen by `gammadeg._mellin_tail`; `quad_tail` is r = 1.
 
 The Euler transformation rewrites sum_m (-1)^m a_m as
 
@@ -245,6 +249,42 @@ def quad_tail(f: Callable[[float], float], a: float,
         return y
 
     return quad_finite(mapped, 0.0, 1.0 / (1.0 + a), cfg)
+
+
+_U_MIN = 1e-300  # smallest u = 1/(1+t) the tail map samples
+
+
+def _quad_tail_power(f: Callable[[float], float], r: float,
+                     cfg: QuadConfig | None) -> QuadResult:
+    """Integral of f over [1, inf) in w, where u = 1/(1+t) = w^r, r > 1.
+
+    dt = -du/u^2 and du = r u dw/w, so the integral is
+    int_0^(2^(-1/r)) r f(t) / (u w) dw.  A decay like t^(-1-eps) leaves
+    u^(eps-1) at u = 0 in `quad_tail`, and r w^(r eps - 1) at w = 0 here,
+    which r can make an integer power (`gammadeg._mellin_tail`).  The
+    plain map stays `quad_tail`: it costs a power and a product less per
+    sample.
+
+    Raises:
+        NonConvergentError: bisection reached a w where u*w underflows to
+            0, or u to below 1e-300, where t = (1-u)/u nears the float
+            range's edge; only an integrand that decays too slowly for the
+            tolerance needs refining there.
+        DomainError: a sample is not finite; the message names t, not w.
+    """
+    def mapped(w: float) -> float:
+        u = w**r
+        uw = u * w
+        if u < _U_MIN or uw == 0.0:
+            raise NonConvergentError(
+                f"tail not resolved: bisection reached w={w!r}, where u or u*w underflows")
+        t = (1.0 - u) / u
+        y = r * f(t) / uw
+        if not math.isfinite(y):
+            raise DomainError(f"integrand evaluated non-finite at t={t!r}")
+        return y
+
+    return quad_finite(mapped, 0.0, 0.5 ** (1.0 / r), cfg)
 
 
 _SUM_REL_TOL = 1e-13

@@ -266,7 +266,7 @@ def zeta_deg_mellin(s: float, x: float, lam: float,
     """
     _check_series_domain(s, x, lam)
     num = _mellin_quad(deg_euler_zeta_kernel(x, lam),
-                       deg_euler_zeta_log_kernel(x, lam), s, cfg)
+                       deg_euler_zeta_log_kernel(x, lam), s, cfg, x / lam)
     den = gamma_deg(s, lam, cfg)
     value = num.value / den.value
     err = (num.abs_error_estimate + abs(value) * den.abs_error_estimate) / abs(den.value)

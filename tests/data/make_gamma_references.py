@@ -19,8 +19,7 @@ of the floats the library receives.  The tests read the JSON only; they
 do not import mpmath.
 
 Each row is tagged: "small_s" (s <= 0.2), "regular", or "near_threshold"
-(s*l ~ 0.945, lambda >= 0.86, where the tail's error estimate is known to
-fall short of its error).
+(s*l >= 0.945, where the tail decays like t^(-1-eps), eps = 1/l - s < 1).
 """
 
 from __future__ import annotations
@@ -50,6 +49,8 @@ POINTS = [
     (1.076, 0.879, "near_threshold"),
     (1.1, 0.86, "near_threshold"),
     (1.05, 0.9, "near_threshold"),
+    (9.037435379717103, 0.1101307170454768, "near_threshold"),
+    (0.008650747635746771, 0.194981252284834, "small_s"),
 ]
 
 

@@ -17,7 +17,7 @@ from degzeta.gammadeg import (
     gamma_deg_via_chain,
     residue_closed_form,
 )
-from degzeta.numerics import DomainError
+from degzeta.numerics import DomainError, NonConvergentError
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,21 @@ def test_quadrature_matches_beta_sweep(lam, frac):
     assert abs(gamma_deg(s, lam).value / _gamma_beta(s, lam) - 1) <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 0.9), st.floats(0.0, 1.0))
+def test_quadrature_within_estimate_of_beta_sweep(lam, frac):
+    # the estimate covers the error against the Beta form at 40 digits,
+    # with 4 eps of slack for the rounding of the value itself
+    mp = pytest.importorskip("mpmath")
+    s = 1e-6 * (0.9 / lam / 1e-6) ** frac  # log-uniform on [1e-6, 0.9/lam]
+    q = gamma_deg(s, lam)
+    with mp.workdps(40):
+        ms, ml = mp.mpf(s), mp.mpf(lam)
+        beta = ml**-ms * mp.gamma(ms) * mp.gamma(1 / ml - ms) / mp.gamma(1 / ml)
+        err = float(abs(q.value - beta))
+    assert err <= q.abs_error_estimate + 4 * 2.220446049250313e-16 * abs(q.value)
+
+
 def test_quadrature_small_s():
     # t^(s-1) is nearly 1/t at the endpoint t = 0 of the head
     for s in (1e-6, 1e-4, 3e-3, 0.01):
@@ -87,17 +102,13 @@ def test_quadrature_small_s():
 _REFERENCES = json.loads(
     (Path(__file__).parent / "data" / "gamma_references.json").read_text())
 
-_NEAR_THRESHOLD = pytest.mark.xfail(
-    strict=True, reason="ROADMAP 1(b): near s = 1/lambda the tail's error "
-                        "estimate falls short of its error")
-
-
 @pytest.mark.parametrize("row", [
-    pytest.param(row, id=f"s={row['s']},lam={row['lambda']}",
-                 marks=_NEAR_THRESHOLD if row["kind"] == "near_threshold" else ())
-    for row in _REFERENCES])
+    pytest.param(row, id=f"s={row['s']},lam={row['lambda']}") for row in _REFERENCES])
 def test_frozen_reference_within_estimate(row):
-    # exact rational comparison: the estimate must cover the error, no slack
+    # exact rational comparison: the estimate must cover the error, no slack.
+    # The near_threshold rows (eps = 1/lam - s down to 0.043) and s = 0.00865
+    # (eps = 5.1, ROADMAP 1(d)) leave non-integer powers u^(eps-1) in the
+    # plain u-map of the tail
     q = gamma_deg(row["s"], row["lambda"])
     assert abs(F(q.value) - F(row["value"])) <= F(q.abs_error_estimate)
 
@@ -105,10 +116,22 @@ def test_frozen_reference_within_estimate(row):
 def test_mellin_failures_are_typed():
     with pytest.raises(DomainError, match="overflows the float range"):
         gamma_deg(500.0, 0.001)  # Gamma(500|0.001) is beyond the float range
-    with pytest.raises(DomainError, match="overflows the float range"):
-        gamma_deg(167.32, 0.001)  # 1.4e305, but the mapped tail's panel sums overflow
+    # 1.4e305: the tail's panel sums overflow unless the log form is scaled
+    # down; the lgamma Beta form is good to ~1e-12 relative here
+    q = gamma_deg(167.32, 0.001)
+    beta = _gamma_beta(167.32, 0.001)
+    assert abs(q.value - beta) <= q.abs_error_estimate + 1e-12 * beta
+    assert q.value > 1.4e305
     # the head's 1/s is taken out in closed form, so small s is a value
     assert abs(gamma_deg(1e-3, 0.1).value / _gamma_beta(1e-3, 0.1) - 1) <= 1e-13
+
+
+def test_tail_map_power_cap_fails_typed():
+    # eps = 1/lambda - s = 0.005: the tail map's power stops at r = 64, which
+    # leaves w^-0.68 at w = 0, and bisection reaches a w where u = w^64
+    # underflows; that is a NonConvergentError, not a ZeroDivisionError
+    with pytest.raises(NonConvergentError, match="u or u\\*w underflows"):
+        gamma_deg(9.995, 0.1)
 
 
 def test_small_lambda_approaches_classical():

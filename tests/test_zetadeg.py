@@ -154,6 +154,29 @@ def test_series_matches_mellin_relative_sweep(lam, x, frac):
     assert abs(zeta_deg(s, x, lam) / zeta_deg_mellin(s, x, lam).value - 1) <= 1e-8
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.5, 3.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_mellin_within_estimate_sweep(x, lam_frac, s_frac):
+    # against the gamma-ratio series summed at 50 digits (at 30, nsum stops
+    # 2e-10 short at s = 13.28, x = 2.54, lam = 0.0253), not the float
+    # series, which is ~2e-11 off at some small s and lambda
+    mp = pytest.importorskip("mpmath")
+    lam = 0.01 + (min(0.9, 0.95 * x) - 0.01) * lam_frac
+    s = 1e-6 * (0.9 * min(1.0, x) / lam / 1e-6) ** s_frac  # log-uniform
+    q = zeta_deg_mellin(s, x, lam)
+    with mp.workdps(50):
+        ms, mx, ml = mp.mpf(s), mp.mpf(x), mp.mpf(lam)
+
+        def term(m):
+            a = (m + mx) / ml
+            return (-1) ** int(m) * mp.exp(mp.loggamma(a - ms) - mp.loggamma(a))
+
+        ref = 2 * mp.exp(mp.loggamma(1 / ml) - mp.loggamma(1 / ml - ms)) * mp.nsum(
+            term, [0, mp.inf], method="alternating")
+        err = float(abs(q.value - ref))
+    assert err <= q.abs_error_estimate + 1e-12 * abs(q.value)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.2, 4.0), st.floats(0.5, 3.0))
 def test_classical_series_matches_mellin_relative_sweep(s, x):
