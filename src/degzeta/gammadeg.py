@@ -34,7 +34,6 @@ from .numerics import (
     QuadResult,
     _quad_tail_power,
     quad_finite,
-    quad_tail,
 )
 
 __all__ = [
@@ -118,7 +117,7 @@ def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
     power of w for every eps above 3/64, the tail twin of the head's map.
     Any r > 0 gives the same integral, so eps need not be exact.  Without
     a rate (the classical kernel decays exponentially; the continuation's
-    `_split_mellin`) the tail is `quad_tail`, the plain u-map.
+    `_split_mellin`) r = 1, the plain u-map.
 
     The power alone can overflow at large t and s while the product stays
     in range, so the tail is redone as exp(log_kern(t) + (s-1) log t) if a
@@ -134,16 +133,13 @@ def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
             the value does, or lies within a factor ~1e4 of its edge.
         NonConvergentError: the quadrature did not converge.
     """
+    r = 1.0
     if rate is not None:
         eps = rate - s
         r = min(_TAIL_R_MAX, (math.floor(eps) + 3.0) / eps)
-
-    def tail(f) -> QuadResult:
-        return quad_tail(f, 1.0, cfg) if rate is None else _quad_tail_power(f, r, cfg)
-
     sm1 = s - 1.0
     try:
-        return tail(lambda t: kern(t) * t**sm1)
+        return _quad_tail_power(lambda t: kern(t) * t**sm1, 1.0, r, cfg)
     except (OverflowError, DomainError):
         pass
 
@@ -152,7 +148,7 @@ def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
 
     shift = max(0.0, _log_peak(log_f) - _LOG_PEAK_ROOM)
     try:
-        q = tail(lambda t: math.exp(log_f(t) - shift))
+        q = _quad_tail_power(lambda t: math.exp(log_f(t) - shift), 1.0, r, cfg)
         value, err = q.value * math.exp(shift), q.abs_error_estimate * math.exp(shift)
     except (OverflowError, DomainError):
         value = err = math.inf

@@ -12,8 +12,8 @@ is 1/s plus the integral of (k(t) - 1) t^(s-1), which t = u^p turns into
 an integer power of u: no bisection chases the endpoint singularity of
 t^(s-1) toward t = 0.  A kernel that decays like t^(-a) leaves the tail
 u^(a-s-1) times a smooth factor at u = 1/(1+t) = 0, and u = w^r
-(`_quad_tail_power`) turns that into an integer power of w too, with r
-chosen by `gammadeg._mellin_tail`; `quad_tail` is r = 1.
+(`_quad_tail_power`, of which `quad_tail` is r = 1) turns that into an
+integer power of w too, with r chosen by `gammadeg._mellin_tail`.
 
 The Euler transformation rewrites sum_m (-1)^m a_m as
 
@@ -225,7 +225,8 @@ def quad_tail(f: Callable[[float], float], a: float,
 
     The substitution sends [a, inf) to (0, 1/(1+a)] and the integral to
     int_0^(1/(1+a)) f((1-u)/u) / u^2 du; the endpoint u = 0 is never
-    sampled since Kronrod nodes are interior.
+    sampled since Kronrod nodes are interior.  This is `_quad_tail_power`
+    at r = 1.
 
     Raises:
         NonConvergentError: bisection reached a u whose square underflows
@@ -236,34 +237,21 @@ def quad_tail(f: Callable[[float], float], a: float,
     """
     if a < 0:
         raise DomainError("lower bound must be >= 0")
-
-    def mapped(u: float) -> float:
-        t = (1.0 - u) / u
-        uu = u * u
-        if uu == 0.0:
-            raise NonConvergentError(
-                f"tail not resolved: bisection reached u={u!r}, where u^2 underflows")
-        y = f(t) / uu
-        if not math.isfinite(y):
-            raise DomainError(f"integrand evaluated non-finite at t={t!r}")
-        return y
-
-    return quad_finite(mapped, 0.0, 1.0 / (1.0 + a), cfg)
+    return _quad_tail_power(f, a, 1.0, cfg)
 
 
 _U_MIN = 1e-300  # smallest u = 1/(1+t) the tail map samples
 
 
-def _quad_tail_power(f: Callable[[float], float], r: float,
+def _quad_tail_power(f: Callable[[float], float], a: float, r: float,
                      cfg: QuadConfig | None) -> QuadResult:
-    """Integral of f over [1, inf) in w, where u = 1/(1+t) = w^r, r > 1.
+    """Integral of f over [a, inf) in w, where u = 1/(1+t) = w^r, r >= 1.
 
     dt = -du/u^2 and du = r u dw/w, so the integral is
-    int_0^(2^(-1/r)) r f(t) / (u w) dw.  A decay like t^(-1-eps) leaves
-    u^(eps-1) at u = 0 in `quad_tail`, and r w^(r eps - 1) at w = 0 here,
-    which r can make an integer power (`gammadeg._mellin_tail`).  The
-    plain map stays `quad_tail`: it costs a power and a product less per
-    sample.
+    int_0^((1+a)^(-1/r)) r f(t) / (u w) dw.  A decay like t^(-1-eps)
+    leaves u^(eps-1) at u = 0, and r w^(r eps - 1) at w = 0, which r can
+    make an integer power (`gammadeg._mellin_tail`).  At r = 1, w = u and
+    every sample is bit for bit f(t) / u^2.
 
     Raises:
         NonConvergentError: bisection reached a w where u*w underflows to
@@ -284,7 +272,7 @@ def _quad_tail_power(f: Callable[[float], float], r: float,
             raise DomainError(f"integrand evaluated non-finite at t={t!r}")
         return y
 
-    return quad_finite(mapped, 0.0, 0.5 ** (1.0 / r), cfg)
+    return quad_finite(mapped, 0.0, (1.0 / (1.0 + a)) ** (1.0 / r), cfg)
 
 
 _SUM_REL_TOL = 1e-13
