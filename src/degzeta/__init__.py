@@ -7,7 +7,6 @@ verification suites (`verify`), and a CLI (`cli`, installed as `degzeta`).
 
 from .exactcore import (
     PolyRational,
-    Rational,
     TruncatedSeries,
     check_alternating_sum_identity,
     euler_poly_classic,
@@ -26,7 +25,6 @@ from .gammadeg import (
     residue_closed_form,
 )
 from .numerics import (
-    AccelResult,
     DomainError,
     NonConvergentError,
     QuadConfig,
@@ -51,14 +49,12 @@ from .zetadeg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelResult",
     "DiscrepancyReport",
     "DomainError",
     "NonConvergentError",
     "PolyRational",
     "QuadConfig",
     "QuadResult",
-    "Rational",
     "ResidueValue",
     "TruncatedSeries",
     "VerifyReport",

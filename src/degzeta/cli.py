@@ -7,7 +7,7 @@ also parsed exactly); floats are printed with 17 significant digits and a
 lowercase exponent so identical invocations produce byte-identical output.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or domain error.
+2 usage or domain error, or a --report path that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import product
 from .exactcore import euler_poly_deg
 from .gammadeg import gamma_deg
 from .numerics import DomainError, QuadConfig
-from .verify import format_float, run_suite
+from .verify import SUITES, format_float, run_suite
 from .zetadeg import (
     euler_zeta,
     euler_zeta_mellin,
@@ -382,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("--suite", choices=("exactcore", "gamma", "zeta", "discrepancy", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--report", default=None, help="write the JSON report here")
     _add_format(p)
     p.set_defaults(func=cmd_verify)
@@ -395,7 +394,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError) as exc:  # DomainError, NonConvergentError among them
+    # DomainError, NonConvergentError among the first two; OSError for a --report path
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

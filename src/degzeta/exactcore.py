@@ -36,7 +36,6 @@ from math import comb
 from typing import Iterator, Sequence, Union
 
 __all__ = [
-    "Rational",
     "as_rational",
     "PolyRational",
     "TruncatedSeries",
@@ -53,8 +52,6 @@ __all__ = [
     "AltSumIdentityResult",
     "check_alternating_sum_identity",
 ]
-
-Rational = Fraction
 
 RationalLike = Union[int, Fraction, str]
 
@@ -132,12 +129,6 @@ class PolyRational:
             return NotImplemented
         n = max(len(self._coeffs), len(other._coeffs))
         return PolyRational([self.coeff(k) - other.coeff(k) for k in range(n)])
-
-    def __rsub__(self, other) -> "PolyRational":
-        return (-self) + other
-
-    def __neg__(self) -> "PolyRational":
-        return PolyRational([-c for c in self._coeffs])
 
     def __mul__(self, other) -> "PolyRational":
         if isinstance(other, (int, Fraction)):
@@ -230,21 +221,15 @@ class TruncatedSeries:
     def _common_order(self, other: "TruncatedSeries") -> int:
         return min(self.order, other.order)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            cs = list(self._coeffs)
-            cs[0] = cs[0] + other
-            return TruncatedSeries(cs)
-        n = self._common_order(other)
-        return TruncatedSeries([self._coeffs[k] + other._coeffs[k] for k in range(n + 1)])
+    def __add__(self, other: int | Fraction) -> "TruncatedSeries":
+        """Add a constant to the constant term."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        cs = list(self._coeffs)
+        cs[0] = cs[0] + other
+        return TruncatedSeries(cs)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        n = self._common_order(other)
-        return TruncatedSeries([self._coeffs[k] - other._coeffs[k] for k in range(n + 1)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

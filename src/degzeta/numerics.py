@@ -23,8 +23,8 @@ which accelerates convergent alternating series and, crucially, terminates
 after d + 1 terms when a_m is a polynomial in m of degree d, yielding the
 Abel sum of the (divergent) series exactly.  Differences are exact only
 for a declared degree: the caller passes d, and d + 1 rational terms give
-the Abel sum as a Fraction.  Without a declared degree the terms are
-floats and the sum stops on one fixed relative tolerance, 1e-13.
+the Abel sum, returned as a Fraction.  Without a declared degree the terms
+are floats and the float sum stops on one fixed relative tolerance, 1e-13.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "NonConvergentError",
     "QuadConfig",
     "QuadResult",
-    "AccelResult",
     "quad_finite",
     "quad_tail",
     "euler_transform_sum",
@@ -85,13 +84,6 @@ class QuadResult:
     value: float
     abs_error_estimate: float
     subdivisions: int
-
-
-@dataclass(frozen=True)
-class AccelResult:
-    value: Union[float, Fraction]
-    terms_used: int
-    terminated_exactly: bool
 
 
 # Gauss-Kronrod 7-15 pairs: (node, Gauss weight, Kronrod weight).
@@ -280,7 +272,7 @@ _SUM_MAX_TERMS = 400
 
 
 def euler_transform_sum(a: Callable[[int], Union[float, Fraction]], *,
-                        degree: int | None = None) -> AccelResult:
+                        degree: int | None = None) -> Union[float, Fraction]:
     """Sum the alternating series sum_{m>=0} (-1)^m a_m by Euler's transformation.
 
     `a` maps m to a_m.  The transform value is
@@ -288,11 +280,11 @@ def euler_transform_sum(a: Callable[[int], Union[float, Fraction]], *,
 
     With degree=d the caller declares that a_m is a polynomial in m of
     degree d.  Every difference of order > d then vanishes, so exactly
-    d + 1 terms are taken in rational arithmetic and the Fraction result
-    is the Abel sum of the series (terminated_exactly=True).  Without a
-    degree the terms are floats, the transform terms are added with
-    compensated summation, and the sum stops once two successive
-    increments are below 1e-13 relative to it, within 400 terms.
+    d + 1 terms are taken in rational arithmetic and the Fraction returned
+    is the Abel sum of the series.  Without a degree the terms are floats,
+    the transform terms are added with compensated summation, and the
+    float returned stops once two successive increments are below 1e-13
+    relative to it, within 400 terms.
 
     Raises:
         TypeError: a declared degree with a float term.
@@ -332,11 +324,11 @@ def euler_transform_sum(a: Callable[[int], Union[float, Fraction]], *,
         if abs(increment) < _SUM_REL_TOL * abs(total):
             small_streak += 1
             if small_streak >= 2:
-                return AccelResult(total, n + 1, False)
+                return total
         else:
             small_streak = 0
     if exact:
-        return AccelResult(total, budget, True)
+        return total
     raise NonConvergentError(f"no convergence in {budget} terms")
 
 

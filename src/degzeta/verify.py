@@ -470,7 +470,7 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 def run_suite(name: str) -> VerifyReport:
     """Run one named suite (or "all") and assemble the report."""
     if name == "all":
-        builders = [SUITES[k] for k in ("exactcore", "gamma", "zeta", "discrepancy")]
+        builders = list(SUITES.values())
     elif name in SUITES:
         builders = [SUITES[name]]
     else:

@@ -109,7 +109,7 @@ def _zeta_abel(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     d = b * q
     abel = euler_transform_sum(
         lambda m: math.prod(d * m + a * q + j * p * b for j in range(n)),
-        degree=n).value
+        degree=n)
     return 2 * abel / math.prod(b * (q + j * p) for j in range(n))
 
 
@@ -130,8 +130,7 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
         return _zeta_abel(int(round(-float(s))), x, 0)
     # scaled by x^s, so a value below the float range underflows only at the end
     xr = float(x)
-    acc = euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s))
-    return 2.0 * acc.value * xr ** (-s)
+    return 2.0 * euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s)) * xr ** (-s)
 
 
 def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> QuadResult:
@@ -186,7 +185,7 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
             raise DomainError(f"term denominator vanishes at m={m}") from None
 
     try:
-        return 2.0 * euler_transform_sum(term).value / _gamma_ratio(1.0, lam, s)
+        return 2.0 * euler_transform_sum(term) / _gamma_ratio(1.0, lam, s)
     except (NonConvergentError, ZeroDivisionError):
         if all(sys.float_info.min <= abs(v) <= sys.float_info.max
                for v in (term(0), _gamma_ratio(1.0, lam, s))):
@@ -198,7 +197,7 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
         f, e = _gamma_ratio_frexp(m + x, lam, s)
         return math.ldexp(f / f0, e - e0)
 
-    acc = euler_transform_sum(ratio).value
+    acc = euler_transform_sum(ratio)
     try:
         return math.ldexp(2.0 * acc * f0 / f1, e0 - e1)
     except OverflowError:
@@ -363,8 +362,7 @@ def _fixed_coeffs(x: Fraction | None, lam: Fraction, bits: int):
     """
     b_series = _falling_fixed(Fraction(-1), lam, bits)
     if x is None:
-        yield from b_series
-        return
+        yield from b_series  # endless, so the zeta branch below never runs
     cs, cs_abs, rs = [], [], []
     bs, bs_mag, bs_r = [], [], []  # B_m, |B_m| + r(B_m), r(B_m)
     for (a, ra), (b, rb) in zip(_falling_fixed(-x, lam, bits), b_series):

@@ -183,6 +183,18 @@ def test_table_euler_integer_axis(capsys):
     assert lines[2] == "2.0,1/2,1/4 - 3/2*x + x^2,"
 
 
+@pytest.mark.parametrize("function, grid, rows", [
+    ("zeta-neg", "n=2,3;x=1;lambda=1/4", ["2,1,1/4,1/10,", "3,1,1/4,-1/10,"]),
+    # E_2(x|l) = x^2 - (1+l)x + l/2 is -1/4 at x = 1/2, l = 1/3
+    ("euler", "n=2;x=1/2;lambda=1/3", ["2,1/2,1/3,-1/4,"]),
+])
+def test_table_exact_values(capsys, function, grid, rows):
+    rc, out, _ = run_cli(capsys, "table", "--function", function,
+                         "--grid", grid, "--format", "csv")
+    assert rc == 0
+    assert out.splitlines() == ["n,x,lambda,value,abs_error_estimate", *rows]
+
+
 def test_table_bad_integer_cell_is_explicit_na(capsys):
     rc, out, _ = run_cli(capsys, "table", "--function", "euler",
                          "--grid", "n=2,2.0,2.5;lambda=1/2", "--format", "csv")
@@ -274,6 +286,16 @@ def test_verify_report_round_trips(tmp_path, capsys):
     assert report.to_dict() == data
     assert report.all_passed
     assert report.suite == "discrepancy"
+
+
+def test_verify_unwritable_report_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    rc, out, err = run_cli(capsys, "verify", "--suite", "exactcore",
+                           "--report", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert not path.parent.exists()
 
 
 def test_byte_identical_output_for_identical_argv(capsys):
