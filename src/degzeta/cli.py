@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import product
@@ -43,6 +44,16 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # the message type=float gives
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _cfg_from(args) -> QuadConfig | None:
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("zeta", help="classical or degenerate Euler zeta")
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_finite, required=True)
     p.add_argument("--x", required=True, help="float or p/q")
     p.add_argument("--lambda", dest="lam", default="0", help="float or p/q; 0 = classical")
     p.add_argument("--method",

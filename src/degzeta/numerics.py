@@ -22,9 +22,9 @@ The Euler transformation rewrites sum_m (-1)^m a_m as
 which accelerates convergent alternating series and, crucially, terminates
 after d + 1 terms when a_m is a polynomial in m of degree d, yielding the
 Abel sum of the (divergent) series exactly.  Differences are exact only
-for a declared degree: the caller passes d, and d + 1 rational terms give
-the Abel sum, returned as a Fraction.  Without a declared degree the terms
-are floats and the float sum stops on one fixed relative tolerance, 1e-13.
+for a declared degree: the caller passes d, and d + 1 int or rational
+terms give the Abel sum, returned as a Fraction.  Without one, a second
+loop sums float terms to one fixed relative tolerance, 1e-13.
 """
 
 from __future__ import annotations
@@ -290,33 +290,31 @@ def euler_transform_sum(a: Callable[[int], Union[float, Fraction]], *,
         TypeError: a declared degree with a float term.
         NonConvergentError: 400 float terms without meeting the tolerance.
     """
-    exact = degree is not None
-    budget = degree + 1 if exact else _SUM_MAX_TERMS
-    if budget < 1:
-        raise ValueError("need at least one term")
-
     diag: list = []  # diag[i] = (D^i a)_{n-i} for the current n
-    total = Fraction(0) if exact else 0.0
-    carry = 0.0  # Kahan compensation
-    small_streak = 0
-    for n in range(budget):
-        t = a(n)
-        if exact:
+    if degree is not None:
+        if degree < 0:
+            raise ValueError("need at least one term")
+        acc = 0  # 2^(degree+1) times the partial sum, exactly
+        for n in range(degree + 1):
+            t = a(n)
             if isinstance(t, float):
                 raise TypeError("a declared degree requires Fraction/int terms")
-            t = Fraction(t)
-        else:
-            t = float(t)
-            if not math.isfinite(t):
-                raise DomainError(f"term {n} is not finite")
-        new = [t]
-        for i in range(1, n + 1):
-            new.append(new[i - 1] - diag[i - 1])
-        diag = new
-        if exact:
-            total += (-1) ** n * diag[n] / 2 ** (n + 1)
-            continue
-        increment = ((-1.0) ** n) * diag[n] / 2.0 ** (n + 1)
+            for i, d in enumerate(diag):
+                diag[i], t = t, t - d
+            diag.append(t)
+            acc += (-1) ** n * t * 2 ** (degree - n)
+        return Fraction(acc, 2 ** (degree + 1))
+
+    total = carry = 0.0  # carry: Kahan compensation
+    small_streak = 0
+    for n in range(_SUM_MAX_TERMS):
+        t = float(a(n))
+        if not math.isfinite(t):
+            raise DomainError(f"term {n} is not finite")
+        for i, d in enumerate(diag):
+            diag[i], t = t, t - d
+        diag.append(t)
+        increment = ((-1.0) ** n) * t / 2.0 ** (n + 1)
         y = increment - carry
         s = total + y
         carry = (s - total) - y
@@ -327,9 +325,7 @@ def euler_transform_sum(a: Callable[[int], Union[float, Fraction]], *,
                 return total
         else:
             small_streak = 0
-    if exact:
-        return total
-    raise NonConvergentError(f"no convergence in {budget} terms")
+    raise NonConvergentError(f"no convergence in {_SUM_MAX_TERMS} terms")
 
 
 def richardson_limit(f: Callable[[float], float], eps0: float,

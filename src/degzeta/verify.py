@@ -73,13 +73,8 @@ class VerifyReport:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "checks": [asdict(c) for c in self.checks],
-            "passed": self.passed,
-            "failed": self.failed,
-            "wall_time_s": self.wall_time_s,
-        }
+        report = asdict(self)
+        return {**report, "checks": list(report["checks"])}  # JSON's list, as from_dict reads
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerifyReport":

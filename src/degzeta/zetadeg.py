@@ -123,14 +123,25 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
     path.
 
     For other s the alternating series is summed with acceleration to a
-    relative tolerance and a float comes back.
+    relative tolerance and a float comes back.  A non-finite s, or an
+    x^(-s) scale that takes the value past the float range, raises
+    DomainError.
     """
     _require_positive_x(float(x))
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     if float(s).is_integer() and s <= 0:
         return _zeta_abel(int(round(-float(s))), x, 0)
     # scaled by x^s, so a value below the float range underflows only at the end
     xr = float(x)
-    return 2.0 * euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s)) * xr ** (-s)
+    acc = euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s))
+    try:
+        value = 2.0 * acc * xr ** (-s)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise DomainError(f"zeta at s={s!r} exceeds the float range")
+    return value
 
 
 def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> QuadResult:
@@ -173,9 +184,9 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
     """2 Gamma(1/l)/Gamma(1/l-s) sum_m (-1)^m Gamma((m+x)/l - s)/Gamma((m+x)/l).
 
     Every ratio in closed form (`_gamma_ratio`), summed with Euler
-    acceleration to a relative tolerance.  Where that fails because the
-    first term or the prefactor lies outside the normal float range, both
-    are scaled by powers of 2 and the ratios a_m/a_0 are summed instead.
+    acceleration to a relative tolerance.  Where the first term or the
+    prefactor lies outside the normal float range, both are scaled by
+    powers of 2 and the ratios a_m/a_0 are summed instead, from the start.
     Callers check the domain.
     """
     def term(m: int) -> float:
@@ -184,12 +195,9 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
         except ZeroDivisionError:
             raise DomainError(f"term denominator vanishes at m={m}") from None
 
-    try:
-        return 2.0 * euler_transform_sum(term) / _gamma_ratio(1.0, lam, s)
-    except (NonConvergentError, ZeroDivisionError):
-        if all(sys.float_info.min <= abs(v) <= sys.float_info.max
-               for v in (term(0), _gamma_ratio(1.0, lam, s))):
-            raise
+    t0, g = term(0), _gamma_ratio(1.0, lam, s)
+    if all(sys.float_info.min <= abs(v) <= sys.float_info.max for v in (t0, g)):
+        return 2.0 * euler_transform_sum(lambda m: term(m) if m else t0) / g
     f0, e0 = _gamma_ratio_frexp(x, lam, s)
     f1, e1 = _gamma_ratio_frexp(1.0, lam, s)
 

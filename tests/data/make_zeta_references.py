@@ -10,7 +10,10 @@ of the degenerate zeta,
 
     2 Gamma(1/l)/Gamma(1/l-s) sum_m (-1)^m Gamma((m+x)/l - s)/Gamma((m+x)/l),
 
-and for lambda = 0 the classical 2 sum_m (-1)^m (m+x)^(-s).  The inputs
+and for lambda = 0 the classical 2 sum_m (-1)^m (m+x)^(-s).  At s < 0
+that series diverges, and its value, the continuation, is taken as
+2^(1-s) (zeta(s, x/2) - zeta(s, (x+1)/2)) with the Hurwitz zeta and
+checked against 2 lerchphi(-1, s, x) to 1e-40 relative.  The inputs
 are evaluated at the binary values of the floats the library receives.
 The tests read the JSON only; they do not import mpmath.
 
@@ -44,6 +47,11 @@ POINTS = [
     (12.0, 2.0, 0.0),
     (20.0, 3.0, 0.0),
     (30.0, 5.0, 0.0),
+    (-0.5, 1.0, 0.0),
+    (-1.4000532013030251, 0.7345366536925736, 0.0),
+    (-1.9, 3.0, 0.0),
+    (-0.25, 2.0, 0.0),
+    (-2.1, 0.5, 0.0),
     (0.2, 2.0, 0.3),
     (0.75, 0.8, 0.25),
     (1.5, 1.0, 0.01),
@@ -78,6 +86,12 @@ def sweep_points() -> list[tuple[float, float, float]]:
 
 def reference(s: float, x: float, lam: float) -> mp.mpf:
     s, x = mp.mpf(s), mp.mpf(x)
+    if lam == 0 and s < 0:
+        value = 2 ** (1 - s) * (mp.zeta(s, x / 2) - mp.zeta(s, (x + 1) / 2))
+        check = 2 * mp.lerchphi(-1, s, x)
+        if abs(check / value - 1) > mp.mpf("1e-40"):
+            raise SystemExit(f"zeta({s}, {x}): Hurwitz {value} vs Lerch {check}")
+        return value
     if lam == 0:
         return 2 * mp.nsum(lambda m: (-1) ** int(m) * (m + x) ** -s, [0, mp.inf])
     lam = mp.mpf(lam)

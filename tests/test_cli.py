@@ -235,6 +235,33 @@ def test_table_missing_variable_is_usage_error(capsys):
     assert "must include" in err
 
 
+@pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
+def test_non_finite_s_is_usage_error(capsys, s):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", f"--s={s}", "--x", "1"])
+    assert exc.value.code == 2
+    assert f"argument --s: not a finite number: '{s}'" in capsys.readouterr().err
+
+
+def test_bad_s_keeps_the_float_usage_message(capsys):
+    with pytest.raises(SystemExit):
+        main(["zeta", "--s", "abc", "--x", "1"])
+    assert "argument --s: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_classical_zeta_above_the_float_range(capsys):
+    rc, out, err = run_cli(capsys, "zeta", "--s", "1100", "--x", "0.5")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: zeta at s=1100.0 exceeds the float range\n"
+
+
+def test_classical_zeta_negative_non_integer(capsys):
+    rc, out, _ = run_cli(capsys, "zeta", "--s", "-1.5", "--x", "1")
+    assert rc == 0
+    assert out == "2.3736174143966041e-01\n"
+
+
 def test_domain_error_exit_code(capsys):
     rc, _, err = run_cli(capsys, "gamma", "--s", "12", "--lambda", "0.1")
     assert rc == 2
