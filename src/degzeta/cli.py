@@ -316,15 +316,9 @@ def cmd_verify(args) -> int:
     rows = []
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
-        res = "" if c.residual is None else f"  residual={c.residual:.3e}"
-        lines.append(f"{status}  {c.check_id}{res}")
-        rows.append([
-            status,
-            c.check_id,
-            "" if c.residual is None else format_float(c.residual),
-            "" if c.tolerance is None else repr(c.tolerance),
-            c.anchor,
-        ])
+        lines.append(f"{status}  {c.check_id}  residual={c.residual:.3e}")
+        rows.append([status, c.check_id, format_float(c.residual),
+                     repr(c.tolerance), c.anchor])
     lines.append(f"suite={report.suite} passed={report.passed} "
                  f"failed={report.failed}")
     _emit(args, payload, lines,

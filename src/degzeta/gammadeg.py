@@ -19,6 +19,12 @@ non-positive integers (the Taylor coefficients of the kernel at t = 0).
 Direct quadrature is the normative evaluator; the functional equation is
 exposed only as a residual check because chaining it moves l and can leave
 the (0,1) domain.
+
+The parameter domain of the whole degenerate Mellin family, Gamma(s|l) and
+zeta_E(s,x|l) alike, continued or not, is checked in one place,
+`_check_domain`: finite x > 0, 0 < l < 1, finite s with
+s < min(1, x)/l - delta, and s > 0 or, continued, s at least `POLE_GUARD`
+from every non-positive integer.
 """
 
 from __future__ import annotations
@@ -49,8 +55,11 @@ __all__ = [
     "residue_closed_form",
 ]
 
-# Margin delta keeping s away from the divergence threshold s = 1/lambda.
+# Margin delta keeping s away from the divergence threshold s = min(1, x)/lambda.
 DOMAIN_MARGIN = 1e-6
+# Continued evaluations refuse to come closer to a pole than this; values
+# at the poles themselves are reached through richardson_limit only.
+POLE_GUARD = 1e-3
 
 
 def deg_kernel(lam: float):
@@ -159,23 +168,44 @@ def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
     return QuadResult(value, err, q.subdivisions)
 
 
-def _check_domain(s: float, lam: float) -> None:
-    if not (0.0 < lam < 1.0):
+def _require_positive_x(x: float) -> None:
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"x must be finite and > 0, got {x!r}")
+
+
+def _check_domain(s: float, lam: float, x: float = 1.0, *,
+                  continued: bool = False) -> None:
+    """The domain of the degenerate Mellin integrals, x = 1 for Gamma(s|lam).
+
+    The kernel decays like t^(-x/lam) and that of Gamma(s|lam) like
+    t^(-1/lam), so both integrals converge for 0 < s < min(1, x)/lam; s
+    keeps the margin delta from that threshold.  Continued (`continued`),
+    s may lie left of 0 but at least `POLE_GUARD` from every pole s = -n.
+    """
+    _require_positive_x(x)
+    if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must be in (0,1), got {lam!r}")
-    if not s > 0.0:
-        raise DomainError(f"s must be > 0, got {s!r}")
-    if not s < 1.0 / lam - DOMAIN_MARGIN:
-        raise DomainError(
-            f"s={s!r} too close to the divergence threshold 1/lambda={1.0 / lam!r}"
-        )
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
+    if continued:
+        nearest = round(s)
+        if nearest <= 0 and abs(s - nearest) < POLE_GUARD:
+            raise DomainError(
+                f"s={s!r} is within {POLE_GUARD} of a pole; use richardson_limit")
+    lower = -math.inf if continued else 0.0
+    bound = min(1.0, x) / lam - DOMAIN_MARGIN
+    if not lower < s < bound:
+        need = "s" if continued else "0 < s"
+        raise DomainError(f"need {need} < min(1/lambda, x/lambda) - delta "
+                          f"= {bound!r}, got s={s!r}")
 
 
 def gamma_deg(s: float, lam: float, cfg: QuadConfig | None = None) -> QuadResult:
     """Gamma(s|lam) by adaptive quadrature.
 
-    Requires 0 < s < 1/lam - delta and lam in (0,1); outside that the
-    integral diverges (or is about to) and a DomainError is raised rather
-    than returning a huge number.
+    Requires 0 < s < 1/lam - delta and lam in (0,1) (`_check_domain`);
+    outside that the integral diverges (or is about to) and a DomainError
+    is raised rather than returning a huge number.
     """
     _check_domain(s, lam)
     return _mellin_quad(deg_kernel(lam), deg_log_kernel(lam), s, cfg, 1.0 / lam)
@@ -252,8 +282,6 @@ def funceq_residual(s: float, lam: float) -> float:
     keep both integrals inside their convergence domains:
     0 < s, s+1 < 1/lam - delta, and s < (1-lam)/lam - delta.
     """
-    if not s > 0:
-        raise DomainError("s must be > 0")
     _check_domain(s + 1.0, lam)
     lam2 = lam / (1.0 - lam)
     _check_domain(s, lam2)

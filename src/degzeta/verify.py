@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable
 
 from . import exactcore, gammadeg, zetadeg
 
@@ -38,16 +38,6 @@ def format_float(v: float) -> str:
     return f"{v:.16e}"
 
 
-def _render(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     check_id: str
@@ -55,8 +45,8 @@ class CheckResult:
     inputs: dict
     expected: str
     actual: str
-    residual: Optional[float]
-    tolerance: Optional[float]
+    residual: float
+    tolerance: float
     passed: bool
 
 
@@ -88,14 +78,14 @@ class VerifyReport:
 
 
 def _exact_check(check_id: str, anchor: str, inputs: dict,
-                 expected, actual) -> CheckResult:
+                 expected: str, actual: str) -> CheckResult:
     ok = expected == actual
     return CheckResult(
         check_id=check_id,
         anchor=anchor,
         inputs=inputs,
-        expected=_render(expected),
-        actual=_render(actual),
+        expected=expected,
+        actual=actual,
         residual=0.0 if ok else 1.0,
         tolerance=0.0,
         passed=ok,
@@ -111,8 +101,8 @@ def _tol_check(check_id: str, anchor: str, inputs: dict, expected: float,
         check_id=check_id,
         anchor=anchor,
         inputs=inputs,
-        expected=_render(expected),
-        actual=_render(actual),
+        expected=format_float(expected),
+        actual=format_float(actual),
         residual=residual,
         tolerance=tol,
         passed=residual <= tol,

@@ -18,6 +18,9 @@ with the equivalent series form 2 sum (-1)^m (m+x)^(-s)
 Gamma(s|l/(m+x)) / Gamma(s|l), a sum of classical gamma ratios.  Several
 independent routes are provided (series, Mellin quadrature, split-integral
 analytic continuation), and the suite checks them against each other.
+Every degenerate route with a real s takes its domain from
+`gammadeg._check_domain`: finite x > 0, 0 < l < 1, finite
+s < min(1, x)/l - delta, and s > 0 or, continued, s clear of the poles.
 
 At negative integers two closed-form candidates circulate:
 
@@ -49,11 +52,13 @@ from .exactcore import (
     ffd_scaled,
 )
 from .gammadeg import (
-    DOMAIN_MARGIN,
+    POLE_GUARD,
+    _check_domain,
     _gamma_ratio,
     _gamma_ratio_frexp,
     _mellin_quad,
     _mellin_tail,
+    _require_positive_x,
     deg_kernel,
     deg_log_kernel,
     gamma_classical,
@@ -83,16 +88,6 @@ __all__ = [
     "DiscrepancyReport",
     "discrepancy_experiment",
 ]
-
-# Continued evaluations refuse to come closer to a pole than this; values
-# at the poles themselves are reached through richardson_limit only.
-POLE_GUARD = 1e-3
-
-
-def _require_positive_x(x: float) -> None:
-    if not x > 0:
-        raise DomainError(f"x must be > 0, got {x!r}")
-
 
 def _zeta_abel(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
     """2 Abel(sum_m (-1)^m prod_{j<n} (m+x+jl)) / prod_{j<n} (1+jl), l >= 0.
@@ -125,7 +120,8 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
     For other s the alternating series is summed with acceleration to a
     relative tolerance and a float comes back.  A non-finite s, or an
     x^(-s) scale that takes the value past the float range, raises
-    DomainError.
+    DomainError; a term (1 + m/x)^(-s) past the float range, at negative
+    s, raises NonConvergentError, as the series cannot be summed there.
     """
     _require_positive_x(float(x))
     if not math.isfinite(s):
@@ -134,7 +130,16 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
         return _zeta_abel(int(round(-float(s))), x, 0)
     # scaled by x^s, so a value below the float range underflows only at the end
     xr = float(x)
-    acc = euler_transform_sum(lambda m: (1.0 + m / xr) ** (-s))
+
+    def term(m: int) -> float:
+        try:
+            return (1.0 + m / xr) ** (-s)
+        except OverflowError:
+            raise NonConvergentError(
+                f"term {m} of the series at s={s!r} overflows the float range"
+            ) from None
+
+    acc = euler_transform_sum(term)
     try:
         value = 2.0 * acc * xr ** (-s)
     except OverflowError:
@@ -150,8 +155,8 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
     zeta_E(s,x) = (1/Gamma(s)) int_0^inf [2/(1+e^(-t))] e^(-xt) t^(s-1) dt
     for s > 0.  Cross-check path for `euler_zeta` at positive s.
     """
-    if not s > 0:
-        raise DomainError("Mellin path needs s > 0")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"Mellin path needs finite s > 0, got {s!r}")
     _require_positive_x(x)
     g = gamma_classical(s)
 
@@ -163,21 +168,6 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
 
     q = _mellin_quad(kern, log_kern, s, cfg)
     return QuadResult(q.value / g, q.abs_error_estimate / g, q.subdivisions)
-
-
-def _check_series_domain(s: float, x: float, lam: float) -> None:
-    """0 < lam < 1 and 0 < s < min(1, x)/lam - delta.
-
-    There the Mellin integral converges, since its kernel decays like
-    t^(-x/lam), and so does Gamma(s|lam).
-    """
-    _require_positive_x(x)
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must be in (0,1)")
-    if not 0.0 < s < min(1.0, x) / lam - DOMAIN_MARGIN:
-        raise DomainError(
-            f"need 0 < s < min(1/lambda, x/lambda) - delta, got s={s!r}"
-        )
 
 
 def _zeta_series(s: float, x: float, lam: float) -> float:
@@ -236,7 +226,7 @@ def zeta_deg(s: float, x: float, lam: float) -> float:
     leaves the series of `_zeta_series`.  The domain is that of every
     term's integral: 0 < lam < min(1, x), 0 < s < min(1, x)/lam - delta.
     """
-    _check_series_domain(s, x, lam)
+    _check_domain(s, lam, x)
     if not lam < x:
         raise DomainError("need lambda < x so every term's gamma parameter is in (0,1)")
     return _zeta_series(s, x, lam)
@@ -269,9 +259,9 @@ def zeta_deg_mellin(s: float, x: float, lam: float,
 
     Evaluates [int_0^inf F(-t,x|-l) t^(s-1) dt] / Gamma(s|l).  The kernel
     decays like t^(-x/l), so s < x/l - delta is enforced on top of the
-    gamma domain.
+    gamma domain (`gammadeg._check_domain`).
     """
-    _check_series_domain(s, x, lam)
+    _check_domain(s, lam, x)
     num = _mellin_quad(deg_euler_zeta_kernel(x, lam),
                        deg_euler_zeta_log_kernel(x, lam), s, cfg, x / lam)
     den = gamma_deg(s, lam, cfg)
@@ -474,14 +464,6 @@ def _kernel_coeffs(x: Fraction | None, lam: Fraction) -> tuple[float, ...]:
                 )
 
 
-def _pole_distance_ok(s: float) -> None:
-    nearest = round(s)
-    if nearest <= 0 and abs(s - nearest) < POLE_GUARD:
-        raise DomainError(
-            f"s={s!r} is within {POLE_GUARD} of a pole; use richardson_limit"
-        )
-
-
 def _split_mellin(s: float, coeffs: tuple[float, ...], kern, log_kern,
                   cfg: QuadConfig | None = None) -> tuple[float, float]:
     if s <= -(len(coeffs) - 5):
@@ -500,11 +482,7 @@ def gamma_deg_continued(s: float, lam: float) -> float:
     from the simple poles at non-positive integers (residues:
     `gamma_deg_residue`).
     """
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must be in (0,1)")
-    if not s < 1.0 / lam - DOMAIN_MARGIN:
-        raise DomainError("s too close to the divergence threshold 1/lambda")
-    _pole_distance_ok(s)
+    _check_domain(s, lam, continued=True)
     lamf = Fraction(lam)
     value, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam),
                              deg_log_kernel(lam))
@@ -522,12 +500,7 @@ def zeta_deg_continued(s: float, x: float, lam: float,
     because the [0,1] piece is integrated termwise to negligible
     truncation).
     """
-    _require_positive_x(x)
-    if not (0.0 < lam < 1.0):
-        raise DomainError("lambda must be in (0,1)")
-    if not s < min(1.0, x) / lam - DOMAIN_MARGIN:
-        raise DomainError("s too close to the tail-divergence threshold")
-    _pole_distance_ok(s)
+    _check_domain(s, lam, x, continued=True)
     xf = Fraction(x)
     lamf = Fraction(lam)
     num, _ = _split_mellin(s, _kernel_coeffs(xf, lamf), deg_euler_zeta_kernel(x, lam),

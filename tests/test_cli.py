@@ -143,6 +143,21 @@ def test_zeta_neg_reports_both_candidates(capsys):
     assert payload["value_plain"] == "1/8"
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (("gamma", "--s", "1", "--lambda", "0.2"),
+     ["s,lambda,value,abs_error_estimate,subdivisions",
+      "1.0,0.2,1.2499999999999973e+00,2.0324649410803854e-11,2"]),
+    (("zeta", "--s", "2.5", "--x", "1", "--lambda", "0.1"),
+     ["s,x,lambda,method,value", "2.5,1,0.1,series,1.7905340298883134e+00"]),
+    (("zeta-neg", "--n", "2", "--x", "1", "--lambda", "1/4"),
+     ["n,x,lambda,value_scaled,value_plain", "2,1,1/4,1/10,1/8"]),
+])
+def test_single_value_csv_is_payload_header_and_row(capsys, argv, lines):
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    assert out.splitlines() == lines
+
+
 def test_table_gamma_csv(capsys):
     rc, out, _ = run_cli(capsys, "table", "--function", "gamma",
                          "--grid", "n=1:4:4;lambda=0.1", "--format", "csv")
@@ -228,6 +243,29 @@ def test_table_repeated_variable_is_usage_error(capsys):
     assert "grid variable 's' given twice" in err
 
 
+def test_table_single_point_range(capsys):
+    rc, out, _ = run_cli(capsys, "table", "--function", "gamma",
+                         "--grid", "s=1:2:1;lambda=0.1", "--format", "csv")
+    assert rc == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 1
+    assert rows[0].startswith("1.0,0.1,")
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("q=1", "unknown grid variable 'q'"),
+    ("s=1:2:0;lambda=0.1", "range count must be >= 1"),
+    ("s=", "no values for grid variable 's'"),
+    ("s=,", "no values for grid variable 's'"),
+    (";", "empty grid"),
+])
+def test_table_bad_grid_is_usage_error(capsys, grid, message):
+    rc, out, err = run_cli(capsys, "table", "--function", "gamma", "--grid", grid)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_table_missing_variable_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "table", "--function", "zeta",
                          "--grid", "s=1,2")
@@ -260,6 +298,13 @@ def test_classical_zeta_negative_non_integer(capsys):
     rc, out, _ = run_cli(capsys, "zeta", "--s", "-1.5", "--x", "1")
     assert rc == 0
     assert out == "2.3736174143966041e-01\n"
+
+
+def test_classical_zeta_term_overflow_is_nonconvergent(capsys):
+    rc, out, err = run_cli(capsys, "zeta", "--s", "-1100.5", "--x", "1")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: term 1 of the series at s=-1100.5 overflows the float range\n"
 
 
 def test_domain_error_exit_code(capsys):

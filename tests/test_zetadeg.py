@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degzeta.exactcore import euler_poly_classic, euler_poly_deg
-from degzeta.gammadeg import gamma_deg_residue
+from degzeta.gammadeg import gamma_deg, gamma_deg_residue
 from degzeta.numerics import DomainError, NonConvergentError, richardson_limit
 from degzeta.zetadeg import (
     discrepancy_experiment,
@@ -69,6 +69,12 @@ def test_positive_x_required():
 def test_non_finite_s_is_domain_error(s, x):
     with pytest.raises(DomainError, match="must be finite"):
         euler_zeta(s, x)
+
+
+def test_term_overflow_at_negative_s_is_nonconvergent():
+    # (1 + m/x)^120.5 overflows from m = 1 on, though the value is finite
+    with pytest.raises(NonConvergentError, match=r"at s=-120\.5 overflows"):
+        euler_zeta(-120.5, 0.001)
 
 
 @pytest.mark.parametrize("s", [1100.0, 1023.5])
@@ -211,18 +217,56 @@ def test_mellin_tail_divergence_guard():
 
 
 def test_series_domain_bound_one_ulp_either_side():
-    from degzeta.gammadeg import DOMAIN_MARGIN
-    from degzeta.zetadeg import _check_series_domain
+    from degzeta.gammadeg import DOMAIN_MARGIN, _check_domain
 
     for x, lam in ((0.5, 0.1), (2.0, 0.3), (0.77, 0.19)):
         bound = min(1.0, x) / lam - DOMAIN_MARGIN
-        _check_series_domain(math.nextafter(bound, 0.0), x, lam)
+        _check_domain(math.nextafter(bound, 0.0), lam, x)
         for s in (bound, math.nextafter(bound, math.inf)):
             with pytest.raises(DomainError):
-                _check_series_domain(s, x, lam)
+                _check_domain(s, lam, x)
         with pytest.raises(DomainError):
-            _check_series_domain(0.0, x, lam)
-        _check_series_domain(math.nextafter(0.0, 1.0), x, lam)
+            _check_domain(0.0, lam, x)
+        _check_domain(math.nextafter(0.0, 1.0), lam, x)
+
+
+# a point inside the domain of each real-s route; the cases below spoil one
+# argument of it at a time
+_ROUTE_POINTS = [
+    (gamma_deg, (1.5, 0.1)),
+    (gamma_deg_continued, (-0.5, 0.1)),
+    (zeta_deg, (1.5, 1.0, 0.1)),
+    (zeta_deg_int, (2, 1.0, 0.1)),
+    (zeta_deg_mellin, (1.5, 1.0, 0.1)),
+    (zeta_deg_continued, (-0.5, 1.0, 0.1)),
+    (euler_zeta, (1.5, 1.0)),
+    (euler_zeta_mellin, (1.5, 1.0)),
+]
+_OUT_OF_DOMAIN = [
+    (route, args[:i] + (bad,) + args[i + 1:])
+    for route, args in _ROUTE_POINTS
+    for i, arg in enumerate(args) if isinstance(arg, float)
+    for bad in (math.inf, -math.inf, math.nan)
+] + [
+    (gamma_deg_continued, (12.0, 0.1)),  # s past 1/lambda - delta
+    (gamma_deg_continued, (-0.5, 1.5)),  # lambda outside (0,1)
+    (zeta_deg_continued, (6.0, 0.5, 0.1)),  # s past x/lambda - delta
+    (zeta_deg_continued, (-0.5, 1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("route, args", _OUT_OF_DOMAIN,
+                         ids=[f"{r.__name__}{a}" for r, a in _OUT_OF_DOMAIN])
+def test_out_of_domain_argument_is_domain_error(route, args):
+    with pytest.raises(DomainError):
+        route(*args)
+
+
+@pytest.mark.parametrize("route, args", _ROUTE_POINTS,
+                         ids=[r.__name__ for r, _ in _ROUTE_POINTS])
+def test_route_points_are_in_the_domain(route, args):
+    value = route(*args)
+    assert math.isfinite(getattr(value, "value", value))
 
 
 def test_series_outside_the_float_range():
