@@ -417,7 +417,9 @@ def euler_poly_deg_values(n_max: int, x: RationalLike, lam: RationalLike) -> lis
 
     E_0 = 1, which `euler_scaled` runs over integers scaled by (2D)^n; each
     value is divided out once at the end.  O(n_max^2) integer operations,
-    which keeps deep orders (needed by the zeta continuation) cheap.
+    on integers that grow with n.  The zeta continuation does not call
+    this: its Taylor coefficients come from `zetadeg._certified_coeffs`,
+    which falls back on `euler_scaled` itself.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

@@ -245,8 +245,8 @@ def gamma_classical(s: float) -> float:
 def _gamma_ratio(b: float, lam: float, s: float) -> float:
     """Gamma(a - s) / Gamma(a), a = b/lam: the ratio in Gamma(s|lam/b).
 
-    1/prod_j ((b - j*lam)/lam) at a positive integer s (ZeroDivisionError
-    if a factor vanishes); else `math.gamma`, which keeps the sign at
+    1/prod_j ((b - j*lam)/lam) at a positive integer s, whose factors are
+    positive for s < b/lam; else `math.gamma`, which keeps the sign at
     negative arguments, or an `lgamma` difference for a - s > 0.
     """
     if s > 0 and float(s).is_integer():
@@ -301,8 +301,6 @@ def funceq_chain_residual(s: float, lam: float, n: int) -> float:
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    if not s - (n + 1) > 0:
-        raise DomainError("need s - (n+1) > 0")
     scale = 1.0 - (n + 2) * lam
     if not scale > 0:
         raise DomainError("need lambda < 1/(n+2)")
@@ -333,9 +331,9 @@ def gamma_deg_via_chain(n: int, lam: float) -> float:
     """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    scale = 1.0 - (n + 2) * lam
-    if not (scale > 0 and lam < 1.0 / (n + 3)):
+    if not lam < 1.0 / (n + 3):
         raise DomainError("need lambda in (0, 1/(n+3))")
+    scale = 1.0 - (n + 2) * lam
     den = 1.0
     for j in range(1, n + 2):
         den *= 1.0 - j * lam

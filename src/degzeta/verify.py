@@ -370,14 +370,16 @@ def suite_zeta() -> list[CheckResult]:
         {"s": 2.5, "x": 1.0, "lambda": 0.1},
         vm, vs, 1e-5,
     ))
-    vs = zetadeg.zeta_deg(15.0, 3.0, 0.05)
-    vm = zetadeg.zeta_deg_mellin(15.0, 3.0, 0.05).value
-    checks.append(_tol_check(
-        "cross_repr_rel/s=15,x=3,lam=0.05",
-        _ANCHOR_CROSS,
-        {"s": 15.0, "x": 3.0, "lambda": 0.05},
-        vm, vs, 1e-8, relative=True,
-    ))
+    # the second point has x < lambda
+    for s, x, lam in ((15.0, 3.0, 0.05), (0.3, 0.05, 0.1)):
+        vs = zetadeg.zeta_deg(s, x, lam)
+        vm = zetadeg.zeta_deg_mellin(s, x, lam).value
+        checks.append(_tol_check(
+            f"cross_repr_rel/s={s:g},x={x:g},lam={lam:g}",
+            _ANCHOR_CROSS,
+            {"s": s, "x": x, "lambda": lam},
+            vm, vs, 1e-8, relative=True,
+        ))
 
     lam = Fraction(1, 1000)
     for n in range(7):

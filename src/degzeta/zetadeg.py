@@ -18,9 +18,11 @@ with the equivalent series form 2 sum (-1)^m (m+x)^(-s)
 Gamma(s|l/(m+x)) / Gamma(s|l), a sum of classical gamma ratios.  Several
 independent routes are provided (series, Mellin quadrature, split-integral
 analytic continuation), and the suite checks them against each other.
-Every degenerate route with a real s takes its domain from
-`gammadeg._check_domain`: finite x > 0, 0 < l < 1, finite
-s < min(1, x)/l - delta, and s > 0 or, continued, s clear of the poles.
+Every degenerate route with a real s, the series at integer s
+(`zeta_deg_int`) included, takes its domain from `gammadeg._check_domain`:
+finite x > 0, 0 < l < 1, finite s < min(1, x)/l - delta, and s > 0 or,
+continued, s clear of the poles.  So where one route refuses a point,
+every other refuses it too.
 
 At negative integers two closed-form candidates circulate:
 
@@ -179,15 +181,10 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
     powers of 2 and the ratios a_m/a_0 are summed instead, from the start.
     Callers check the domain.
     """
-    def term(m: int) -> float:
-        try:
-            return _gamma_ratio(m + x, lam, s)
-        except ZeroDivisionError:
-            raise DomainError(f"term denominator vanishes at m={m}") from None
-
-    t0, g = term(0), _gamma_ratio(1.0, lam, s)
+    t0, g = _gamma_ratio(x, lam, s), _gamma_ratio(1.0, lam, s)
     if all(sys.float_info.min <= abs(v) <= sys.float_info.max for v in (t0, g)):
-        return 2.0 * euler_transform_sum(lambda m: term(m) if m else t0) / g
+        return 2.0 * euler_transform_sum(
+            lambda m: _gamma_ratio(m + x, lam, s) if m else t0) / g
     f0, e0 = _gamma_ratio_frexp(x, lam, s)
     f1, e1 = _gamma_ratio_frexp(1.0, lam, s)
 
@@ -203,18 +200,14 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
 
 
 def zeta_deg_int(n: int, x: float, lam: float) -> float:
-    """Degenerate Euler zeta at a positive integer s = n, lam in (0, 1/n).
+    """`zeta_deg` at a positive integer s = n, checked to be one.
 
-    The series of `zeta_deg`, whose gamma ratios are finite products here:
+    There the series' gamma ratios are finite products:
     2 prod_j (1/l - j) sum_m (-1)^m / prod_j ((m+x)/l - j), j = 1..n.
-    Unlike `zeta_deg`, x may lie below lam.
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError("n must be a positive integer")
-    _require_positive_x(x)
-    if not 0.0 < lam < 1.0 / n:
-        raise DomainError(f"lambda must lie in (0, 1/{n})")
-    return _zeta_series(n, x, lam)
+    return zeta_deg(n, x, lam)
 
 
 def zeta_deg(s: float, x: float, lam: float) -> float:
@@ -223,12 +216,11 @@ def zeta_deg(s: float, x: float, lam: float) -> float:
     Putting Gamma(s|mu) = mu^(-s) Gamma(s) Gamma(1/mu - s) / Gamma(1/mu)
     (u = mu t in the integral) into 2 sum (-1)^m (m+x)^(-s)
     Gamma(s|l/(m+x)) / Gamma(s|l) cancels (m+x)^(-s) and Gamma(s), which
-    leaves the series of `_zeta_series`.  The domain is that of every
-    term's integral: 0 < lam < min(1, x), 0 < s < min(1, x)/lam - delta.
+    leaves the series of `_zeta_series`.  Its ratios are finite for any
+    x > 0 while s < x/lam, so the domain is that of the Mellin integral
+    (`gammadeg._check_domain`): 0 < s < min(1, x)/lam - delta.
     """
     _check_domain(s, lam, x)
-    if not lam < x:
-        raise DomainError("need lambda < x so every term's gamma parameter is in (0,1)")
     return _zeta_series(s, x, lam)
 
 
@@ -547,8 +539,6 @@ def discrepancy_experiment(n: int, x: RationalLike,
     lamf = as_rational(lam)
     if not xf >= 1:
         raise DomainError("x must be >= 1")
-    if not (0 < lamf < 1):
-        raise DomainError("lambda must be in (0,1)")
     scaled, plain = zeta_deg_neg_candidates(n, xf, lamf)
     xr = float(xf)
     lr = float(lamf)

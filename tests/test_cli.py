@@ -1,7 +1,9 @@
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +170,25 @@ def test_table_gamma_csv(capsys):
     # Gamma(1|0.1) = 1/0.9
     first = lines[1].split(",")
     assert abs(float(first[2]) - 1.0 / 0.9) < 1e-8
+
+
+@pytest.mark.parametrize("method", ["auto", "int", "series", "mellin", "continued"])
+def test_zeta_past_the_pole_is_a_domain_error(capsys, method):
+    # s = 2 lies past the pole at s = x/lambda = 1/2, so every route refuses it
+    rc, out, err = run_cli(capsys, "zeta", "--s", "2", "--x", "0.05",
+                           "--lambda", "0.1", "--method", method)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: need ")
+
+
+def test_zeta_series_at_x_below_lambda(capsys):
+    rc, out, _ = run_cli(capsys, "zeta", "--s", "0.3", "--x", "0.05",
+                         "--lambda", "0.1", "--format", "json")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["method"] == "series"
+    # mpmath's sum of the series: 9.017101526646048
+    assert float(payload["value"]) == pytest.approx(9.017101526646048, rel=1e-12)
 
 
 def test_table_out_of_domain_cell_is_explicit_na(capsys):
@@ -385,3 +406,36 @@ def test_console_entry_point_usage_error():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def _readme_cli_lines() -> list:
+    """(argv, shown) per `degzeta` line of README's CLI block.
+
+    shown is the output the README prints in a comment line right below
+    the command, with its newline, or None where it prints none.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + [""]
+    return [(shlex.split(line)[1:], nxt[2:] + "\n" if nxt.startswith("# ") else None)
+            for line, nxt in zip(lines, lines[1:]) if line.startswith("degzeta ")]
+
+
+_README_CLI = _readme_cli_lines()
+
+
+def test_readme_cli_block_is_read():
+    assert len(_README_CLI) >= 7
+    assert sum(shown is not None for _, shown in _README_CLI) >= 2
+
+
+@pytest.mark.parametrize("argv, shown", _README_CLI,
+                         ids=[" ".join(argv) for argv, _ in _README_CLI])
+def test_readme_cli_example(capsys, tmp_path, argv, shown):
+    argv = list(argv)
+    if "--report" in argv:
+        argv[argv.index("--report") + 1] = str(tmp_path / "report.json")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    if shown is not None:
+        assert out == shown

@@ -191,6 +191,30 @@ def test_chain_residual():
         funceq_chain_residual(1.5, 0.05, 1)  # s - (n+1) <= 0
 
 
+# The sweeps keep every gamma argument at or below 0.9 of its threshold,
+# clear of the band near it where the tail quadrature is least reliable.
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.01, 0.49), st.floats(0.0, 1.0))
+def test_funceq_residual_sweep(lam, frac):
+    # s+1 <= 0.9/lambda and s <= 0.9/lambda2, lambda2 = lambda/(1-lambda) < 1
+    hi = min(0.9 / lam - 1.0, 0.9 * (1.0 - lam) / lam)
+    s = 0.01 + frac * (hi - 0.01)
+    assert funceq_residual(s, lam) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_funceq_chain_residual_sweep(n, u, frac):
+    # s+1 <= 0.9/lambda and s-(n+1) <= 0.9/lambda2,
+    # lambda2 = lambda/(1-(n+2)lambda) < 1
+    lam = 0.01 + u * (0.99 / (n + 3) - 0.01)
+    lo = n + 1.01
+    hi = min(0.9 / lam - 1.0, n + 1 + 0.9 * (1.0 - (n + 2) * lam) / lam)
+    s = lo + frac * (hi - lo)
+    assert funceq_chain_residual(s, lam, n) <= 1e-9
+
+
 def test_chain_reproduces_closed_form():
     chain = gamma_deg_via_chain(1, 0.05)
     closed = float(gamma_deg_closed(4, F(1, 20)))

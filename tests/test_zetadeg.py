@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degzeta import zetadeg
 from degzeta.exactcore import euler_poly_classic, euler_poly_deg
-from degzeta.gammadeg import gamma_deg, gamma_deg_residue
+from degzeta.gammadeg import DOMAIN_MARGIN, gamma_deg, gamma_deg_residue
 from degzeta.numerics import DomainError, NonConvergentError, richardson_limit
 from degzeta.zetadeg import (
     discrepancy_experiment,
@@ -35,8 +36,6 @@ def test_interpolation_exact_equality():
 
 
 def test_euler_zeta_neg_builds_no_polynomial(monkeypatch):
-    from degzeta import zetadeg
-
     expected = {(n, x): euler_poly_classic(n)(x)
                 for x in (F(1, 2), F(3, 2)) for n in range(11)}
 
@@ -133,7 +132,7 @@ def test_int_form_domain():
         zeta_deg_int(0, 1.0, 0.1)
     with pytest.raises(DomainError):
         zeta_deg_int(2, -1.0, 0.1)
-    with pytest.raises(DomainError, match="vanishes at m=0"):
+    with pytest.raises(DomainError, match=r"need 0 < s < min\(1/lambda, x/lambda\) - delta"):
         zeta_deg_int(2, 0.2, 0.1)  # x = 2 lambda
 
 
@@ -212,12 +211,12 @@ def test_mellin_tail_divergence_guard():
         zeta_deg(12.0, 1.0, 0.1)  # s >= 1/lambda
     with pytest.raises(DomainError, match=bound):
         zeta_deg(6.0, 0.5, 0.1)  # 1/lambda > s >= x/lambda
-    with pytest.raises(DomainError):
-        zeta_deg(0.5, 0.1, 0.1)  # lambda >= x
+    with pytest.raises(DomainError, match=bound):
+        zeta_deg(1.0, 0.1, 0.1)  # s >= x/lambda with lambda = x
 
 
 def test_series_domain_bound_one_ulp_either_side():
-    from degzeta.gammadeg import DOMAIN_MARGIN, _check_domain
+    from degzeta.gammadeg import _check_domain
 
     for x, lam in ((0.5, 0.1), (2.0, 0.3), (0.77, 0.19)):
         bound = min(1.0, x) / lam - DOMAIN_MARGIN
@@ -269,6 +268,61 @@ def test_route_points_are_in_the_domain(route, args):
     assert math.isfinite(getattr(value, "value", value))
 
 
+# The series, at integer s too, and the Mellin quadrature share one domain.
+# x = ratio * lambda puts x at or below lambda for ratio <= 1.
+_X_RATIO = st.floats(0.05, 30.0)
+
+
+def _refuses(route, *args) -> bool:
+    """Whether route(*args) raises DomainError; NonConvergentError is no refusal."""
+    try:
+        route(*args)
+    except DomainError:
+        return True
+    except NonConvergentError:
+        pass
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.01, 0.99), _X_RATIO,
+       st.one_of(st.floats(-1e-5, 1e-5), st.floats(-50.0, 5.0)))
+def test_series_refuses_where_mellin_refuses(lam, ratio, offset):
+    x = ratio * lam
+    s = min(1.0, x) / lam + offset
+    assert _refuses(zeta_deg, s, x, lam) == _refuses(zeta_deg_mellin, s, x, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.floats(0.01, 3.0), st.floats(-1e-5, 1e-5))
+def test_int_form_refuses_where_mellin_refuses(n, x, offset):
+    # s = n lies within 1e-5 of min(1, x)/lambda, on either side
+    lam = min(1.0, x) / (n + offset)
+    assert _refuses(zeta_deg_int, n, x, lam) == _refuses(zeta_deg_mellin, float(n), x, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.floats(0.01, 0.99), _X_RATIO)
+def test_int_form_is_the_series_at_integer_s(n, lam, ratio):
+    x = ratio * lam
+    if _refuses(zeta_deg, float(n), x, lam):
+        assert _refuses(zeta_deg_int, n, x, lam)
+    else:
+        assert repr(zeta_deg_int(n, x, lam)) == repr(zeta_deg(float(n), x, lam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.1, 0.99), _X_RATIO, st.floats(1e-6, 0.9))
+def test_series_matches_mellin_over_the_shared_domain(lam, ratio, frac):
+    x = ratio * lam
+    s = frac * min(1.0, x) / lam
+    try:
+        mellin = zeta_deg_mellin(s, x, lam).value
+    except NonConvergentError:
+        return  # the Mellin tail near its threshold, x/lambda - s under ~0.05
+    assert abs(zeta_deg(s, x, lam) / mellin - 1) <= 1e-10
+
+
 def test_series_outside_the_float_range():
     # first term and prefactor underflow; the value itself is 1.05e40
     assert zeta_deg_int(120, 0.5, 0.001) == zeta_deg(120.0, 0.5, 0.001)
@@ -288,8 +342,6 @@ def test_series_with_a_subnormal_prefactor():
 @pytest.mark.parametrize("s", [120.0, 120.5])
 def test_series_outside_the_float_range_sums_once(monkeypatch, s):
     # the first term and the prefactor pick the scaled sum before any plain one
-    from degzeta import zetadeg
-
     calls = []
     ratio = zetadeg._gamma_ratio
 
@@ -323,10 +375,20 @@ def test_frozen_reference(row):
         # at s < 0 the float loop sums a divergent series, 2.8e-11 off at worst
         assert _rel_err(euler_zeta(s, x), ref) <= (1e-10 if s < 0 else 1e-13)
         return
-    if lam < x:
-        assert _rel_err(zeta_deg(s, x, lam), ref) <= 1e-12
-    if s.is_integer() and lam < 1 / s:
-        assert _rel_err(zeta_deg_int(int(s), x, lam), ref) <= 1e-8
+    if not s < min(1.0, x) / lam - DOMAIN_MARGIN:
+        # past the pole at s = x/lambda the series still sums, but the
+        # Mellin integral diverges, and every public route refuses the point
+        calls = [(zeta_deg, s), (zeta_deg_mellin, s)]
+        if s.is_integer():
+            calls.append((zeta_deg_int, int(s)))
+        for route, s_arg in calls:
+            with pytest.raises(DomainError):
+                route(s_arg, x, lam)
+        assert _rel_err(zetadeg._zeta_series(s, x, lam), ref) <= 1e-8
+        return
+    assert _rel_err(zeta_deg(s, x, lam), ref) <= 1e-12
+    if s.is_integer():
+        assert _rel_err(zeta_deg_int(int(s), x, lam), ref) <= 1e-12
 
 
 _SWEEP = json.loads((Path(__file__).parent / "data" / "zeta_sweep.json").read_text())
@@ -502,8 +564,6 @@ def test_discrepancy_grid_all_scaled():
 
 
 def test_discrepancy_evaluates_each_point_once(monkeypatch):
-    from degzeta import zetadeg
-
     points = []
     continued = zetadeg.zeta_deg_continued
 
@@ -518,8 +578,6 @@ def test_discrepancy_evaluates_each_point_once(monkeypatch):
 
 
 def test_discrepancy_builds_euler_polynomial_once(monkeypatch):
-    from degzeta import zetadeg
-
     builds = []
     build = zetadeg.euler_poly_deg
 
