@@ -2,9 +2,11 @@
 
 Subcommands evaluate the library functions (`euler`, `gamma`, `zeta`,
 `zeta-neg`), emit grids (`table`), or run the named verification suites
-(`verify`).  Rationals cross the boundary as "p/q" strings (decimals are
-also parsed exactly); floats are printed with 17 significant digits and a
-lowercase exponent so identical invocations produce byte-identical output.
+(`verify`).  Every s, x and lambda crosses the boundary as a "p/q"
+string or a decimal: the exact commands keep it as a rational, the float
+routes take the nearest float.  Floats are printed with 17 significant
+digits and a lowercase exponent so identical invocations produce
+byte-identical output.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or domain error, or a --report path that cannot be written.
@@ -47,9 +49,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _finite(text: str) -> float:
+    """A finite float, typed as a decimal or as p/q."""
     try:
-        value = float(text)
-    except ValueError:  # the message type=float gives
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except OverflowError:  # a p/q past the float range
+        value = math.inf
+    except (ValueError, ZeroDivisionError):  # the message type=float gives
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
@@ -120,49 +125,33 @@ def cmd_gamma(args) -> int:
 
 def _zeta_dispatch(method: str, s: float, x_raw: str, lam_raw: str,
                    cfg: QuadConfig | None) -> tuple[str, str, str]:
-    """Evaluate a zeta value; returns (value_str, err_str, method_used)."""
+    """Evaluate a zeta value; returns (value_str, err_str, method_used).
+
+    `auto` takes the classical value at lambda = 0, the exact one at an
+    integer s <= 0, the continuation at other s <= 0 and the series at
+    s > 0 (its integer form at integer s); `mellin` and `continued` are
+    the independent routes it is checked against.
+    """
     x_rat = Fraction(x_raw)
     lam_rat = Fraction(lam_raw)
     x = float(x_rat)
     lam = float(lam_rat)
-    is_neg_int = float(s).is_integer() and s <= 0
+    is_neg_int = s.is_integer() and s <= 0
 
-    if method == "auto":
-        if lam_rat == 0:
-            method = "series"
-        elif is_neg_int:
-            method = "exact-neg"
-        elif s <= 0:
-            method = "continued"
-        else:
-            method = "series"
-
-    if method == "exact-neg":
-        if not is_neg_int:
-            raise DomainError("exact-neg path needs an integer s <= 0")
-        value = zeta_deg_neg(int(-s), x_rat, lam_rat)
-        return str(value), "", "exact-neg"
-    if method == "series":
-        if lam_rat == 0:
-            v = euler_zeta(s, x_rat if is_neg_int else x)
-            return (str(v), "", "classical") if isinstance(v, Fraction) \
-                else (format_float(v), "", "classical")
-        if is_neg_int:
-            raise DomainError("series path needs s > 0 when lambda > 0")
-        if float(s).is_integer():
-            return format_float(zeta_deg_int(int(s), x, lam)), "", "int"
-        return format_float(zeta_deg(s, x, lam)), "", "series"
     if method == "mellin":
         q = euler_zeta_mellin(s, x, cfg) if lam_rat == 0 \
             else zeta_deg_mellin(s, x, lam, cfg)
         return format_float(q.value), format_float(q.abs_error_estimate), "mellin"
-    if method == "int":
-        if not float(s).is_integer() or s < 1:
-            raise DomainError("int path needs an integer s >= 1")
-        return format_float(zeta_deg_int(int(s), x, lam)), "", "int"
-    if method == "continued":
+    if method == "auto" and lam_rat == 0:
+        v = euler_zeta(s, x_rat if is_neg_int else x)
+        return str(v) if isinstance(v, Fraction) else format_float(v), "", "classical"
+    if method == "auto" and is_neg_int:
+        return str(zeta_deg_neg(int(-s), x_rat, lam_rat)), "", "exact-neg"
+    if method == "continued" or s <= 0:
         return format_float(zeta_deg_continued(s, x, lam, cfg)), "", "continued"
-    raise DomainError(f"unknown method {method!r}")
+    if s.is_integer():
+        return format_float(zeta_deg_int(int(s), x, lam)), "", "int"
+    return format_float(zeta_deg(s, x, lam)), "", "series"
 
 
 def cmd_zeta(args) -> int:
@@ -263,7 +252,6 @@ def _table_cell(function: str, point: dict[str, str],
             if "x" in point:
                 return str(poly(Fraction(point["x"]))), ""
             return str(poly), ""
-        raise DomainError(f"unknown table function {function!r}")
     except (ValueError, ArithmeticError) as exc:
         return f"NA: {exc}", ""
 
@@ -352,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("gamma", help="degenerate gamma Gamma(s|lambda) by quadrature")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--s", type=_finite, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
     p.add_argument("--tol", type=float, default=None, help="relative quadrature tolerance")
     _add_format(p)
     p.set_defaults(func=cmd_gamma)
@@ -363,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="float or p/q")
     p.add_argument("--lambda", dest="lam", default="0", help="float or p/q; 0 = classical")
     p.add_argument("--method",
-                   choices=("auto", "series", "mellin", "int", "continued", "exact-neg"),
+                   choices=("auto", "mellin", "continued"),
                    default="auto")
     p.add_argument("--tol", type=float, default=None)
     _add_format(p)

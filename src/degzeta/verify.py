@@ -426,7 +426,8 @@ def suite_discrepancy() -> list[CheckResult]:
     checks = []
     for (n, x, lam) in ((2, Fraction(1), Fraction(1, 4)),
                         (2, Fraction(2), Fraction(1, 10)),
-                        (3, Fraction(1), Fraction(1, 10))):
+                        (3, Fraction(1), Fraction(1, 10)),
+                        (2, Fraction(1, 2), Fraction(1, 4))):
         rep = zetadeg.discrepancy_experiment(n, x, lam)
         dist = abs(rep.value_continued - float(rep.value_scaled))
         ok = rep.winner == "scaled" and dist <= 1e-4

@@ -487,10 +487,10 @@ def zeta_deg_continued(s: float, x: float, lam: float,
 
     Both the numerator integral and Gamma(s|lam) are continued by the
     split-integral representation and divided; on the overlap s > 0 this
-    reproduces `zeta_deg`.  The strip is -depth < s < x/lam - delta with
-    the Taylor depth chosen automatically (the value is depth-independent
-    because the [0,1] piece is integrated termwise to negligible
-    truncation).
+    reproduces `zeta_deg`.  The strip is -(depth - 5) < s < x/lam - delta
+    with the Taylor depth chosen automatically (the value is
+    depth-independent because the [0,1] piece is integrated termwise to
+    negligible truncation).
     """
     _check_domain(s, lam, x, continued=True)
     xf = Fraction(x)
@@ -530,15 +530,12 @@ def discrepancy_experiment(n: int, x: RationalLike,
     Extrapolates zeta_deg_continued(-n+eps, x, lam) to eps -> 0 by
     Richardson (eps0 = 1e-2, ratio 2, 3 levels; all samples stay outside
     the pole guard) and compares the limit against the scaled and plain
-    candidates.  Requires n >= 2 (the candidates coincide below) and
-    x >= 1 (keeps the continuation strip comfortably wide).
+    candidates.  Requires n >= 2 (the candidates coincide below).
     """
     if n < 2:
         raise DomainError("candidates coincide for n <= 1; nothing to decide")
     xf = as_rational(x)
     lamf = as_rational(lam)
-    if not xf >= 1:
-        raise DomainError("x must be >= 1")
     scaled, plain = zeta_deg_neg_candidates(n, xf, lamf)
     xr = float(xf)
     lr = float(lamf)

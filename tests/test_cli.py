@@ -9,7 +9,7 @@ import pytest
 
 from degzeta import zetadeg
 from degzeta.cli import main
-from degzeta.verify import VerifyReport, format_float
+from degzeta.verify import VerifyReport, format_float, run_suite
 
 
 def run_cli(capsys, *argv):
@@ -79,22 +79,14 @@ def test_zeta_mellin_method(capsys):
 @pytest.mark.parametrize("s, method, used, expected", [
     ("-1.5", "auto", "continued", "2.5576800537332495e-01"),
     # the id names the value's source, not its digits, so it stays stable
-    pytest.param("2", "int", "int", format_float(zetadeg.zeta_deg_int(2, 1.0, 0.1)),
-                 id="2-int-int-zeta_deg_int"),
+    pytest.param("2", "auto", "int", format_float(zetadeg.zeta_deg_int(2, 1.0, 0.1)),
+                 id="2-auto-int-zeta_deg_int"),
     ("0.5", "continued", "continued",
      format_float(zetadeg.zeta_deg_continued(0.5, 1.0, 0.1))),
-    # used None: the route refuses s; expected is the error it names
-    ("-1.5", "exact-neg", None, "exact-neg path needs an integer s <= 0"),
-    ("-2", "series", None, "series path needs s > 0"),
-    ("1.5", "int", None, "int path needs an integer s >= 1"),
 ])
 def test_zeta_routes(capsys, s, method, used, expected):
-    rc, out, err = run_cli(capsys, "zeta", "--s", s, "--x", "1", "--lambda", "0.1",
-                           "--method", method, "--format", "json")
-    if used is None:
-        assert rc == 2
-        assert expected in err
-        return
+    rc, out, _ = run_cli(capsys, "zeta", "--s", s, "--x", "1", "--lambda", "0.1",
+                         "--method", method, "--format", "json")
     assert rc == 0
     payload = json.loads(out)
     assert (payload["method"], payload["value"]) == (used, expected)
@@ -172,7 +164,7 @@ def test_table_gamma_csv(capsys):
     assert abs(float(first[2]) - 1.0 / 0.9) < 1e-8
 
 
-@pytest.mark.parametrize("method", ["auto", "int", "series", "mellin", "continued"])
+@pytest.mark.parametrize("method", ["auto", "mellin", "continued"])
 def test_zeta_past_the_pole_is_a_domain_error(capsys, method):
     # s = 2 lies past the pole at s = x/lambda = 1/2, so every route refuses it
     rc, out, err = run_cli(capsys, "zeta", "--s", "2", "--x", "0.05",
@@ -294,6 +286,17 @@ def test_table_missing_variable_is_usage_error(capsys):
     assert "must include" in err
 
 
+def test_table_gamma_needs_s_or_n(capsys):
+    rc, out, err = run_cli(capsys, "table", "--function", "gamma", "--grid", "lambda=0.1")
+    assert (rc, out) == (2, "")
+    assert err == "error: grid for 'gamma' must include one of ['n', 's']\n"
+
+
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suite("nope")
+
+
 @pytest.mark.parametrize("s", ["inf", "-inf", "nan"])
 def test_non_finite_s_is_usage_error(capsys, s):
     with pytest.raises(SystemExit) as exc:
@@ -302,10 +305,48 @@ def test_non_finite_s_is_usage_error(capsys, s):
     assert f"argument --s: not a finite number: '{s}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gamma", "--s", "inf", "--lambda", "0.1"], "argument --s: not a finite number: 'inf'"),
+    (["gamma", "--s", "1", "--lambda", "nan"],
+     "argument --lambda: not a finite number: 'nan'"),
+    (["gamma", "--s", "1/0", "--lambda", "0.1"], "argument --s: invalid float value: '1/0'"),
+    (["zeta", "--s", "1" + "0" * 400 + "/3", "--x", "1"], "argument --s: not a finite number"),
+    (["euler", "--n", "2", "--lambda", "abc"], "argument --lambda: not a rational: 'abc'"),
+], ids=["gamma-s-inf", "gamma-lambda-nan", "gamma-s-1/0", "zeta-s-past-float-range",
+        "euler-lambda-abc"])
+def test_bad_number_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, pq_argv", [
+    (["gamma", "--s", "0.5", "--lambda", "0.2"], ["gamma", "--s", "1/2", "--lambda", "1/5"]),
+    (["zeta", "--s", "2.5", "--x", "1", "--lambda", "0.1"],
+     ["zeta", "--s", "5/2", "--x", "1", "--lambda", "1/10"]),
+    (["zeta", "--s", "-1.5", "--x", "1", "--lambda", "0.1", "--format", "json"],
+     ["zeta", "--s=-3/2", "--x", "1", "--lambda", "0.1", "--format", "json"]),
+], ids=["gamma", "zeta-series", "zeta-continued"])
+def test_s_and_lambda_read_p_over_q(capsys, argv, pq_argv):
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert run_cli(capsys, *pq_argv) == (0, out, "")
+
+
 def test_bad_s_keeps_the_float_usage_message(capsys):
     with pytest.raises(SystemExit):
         main(["zeta", "--s", "abc", "--x", "1"])
     assert "argument --s: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["series", "int", "exact-neg"])
+def test_zeta_method_names_only_the_independent_routes(capsys, method):
+    # auto already takes the series, integer and exact forms where they apply
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--s", "2", "--x", "1", "--lambda", "0.1", "--method", method])
+    assert exc.value.code == 2
+    assert f"argument --method: invalid choice: '{method}'" in capsys.readouterr().err
 
 
 def test_classical_zeta_above_the_float_range(capsys):

@@ -84,6 +84,15 @@ def test_series_division_geometric():
     assert q.coeffs == tuple(F(1) for _ in range(6))
 
 
+@pytest.mark.parametrize("coeffs, order, message", [
+    ([], None, "at least the constant coefficient"),
+    ([1], -1, "order must be >= 0"),
+])
+def test_series_constructor_guards(coeffs, order, message):
+    with pytest.raises(ValueError, match=message):
+        TruncatedSeries(coeffs, order=order)
+
+
 def test_series_division_requires_invertible_constant():
     num = TruncatedSeries([1, 1], order=1)
     den = TruncatedSeries([0, 1], order=1)
@@ -314,3 +323,16 @@ def test_alt_sum_sweep():
 
 def test_euler_number_deg_is_value_at_zero():
     assert euler_number_deg(1, F(1, 5)) == F(-1, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: euler_poly_deg(-1, F(1, 2)),
+    lambda: euler_poly_deg_values(-1, 1, F(1, 2)),
+    lambda: series_oracle(-1, F(1, 2)),
+    lambda: check_alternating_sum_identity(-1, 0, F(1, 2)),
+    lambda: check_alternating_sum_identity(0, -1, F(1, 2)),
+], ids=["euler_poly_deg", "euler_poly_deg_values", "series_oracle",
+        "alt_sum-m", "alt_sum-n"])
+def test_negative_order_is_rejected(call):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        call()

@@ -215,6 +215,17 @@ def test_funceq_chain_residual_sweep(n, u, frac):
     assert funceq_chain_residual(s, lam, n) <= 1e-9
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: funceq_chain_residual(3.5, 0.05, 0), "n must be a positive integer"),
+    (lambda: funceq_chain_residual(3.5, 0.4, 1), "need lambda < 1/"),
+    (lambda: gamma_deg_via_chain(0, 0.05), "n must be a positive integer"),
+    (lambda: gamma_deg_via_chain(1, 0.25), "need lambda in"),
+], ids=["chain-n0", "chain-lambda", "via-chain-n0", "via-chain-lambda"])
+def test_chain_guards(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_chain_reproduces_closed_form():
     chain = gamma_deg_via_chain(1, 0.05)
     closed = float(gamma_deg_closed(4, F(1, 20)))
@@ -245,3 +256,9 @@ def test_residue_lambda_zero_limit_matches_classical():
         approx = float(residue_closed_form(n, lam))
         classical = (-1) ** n / math.factorial(n)
         assert abs(approx - classical) < 1e-6
+
+
+@pytest.mark.parametrize("residue", [gamma_deg_residue, residue_closed_form])
+def test_residue_rejects_negative_order(residue):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        residue(-1, F(1, 2))

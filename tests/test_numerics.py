@@ -73,6 +73,18 @@ def test_quad_sum_beyond_float_range_is_domain_error():
         quad_finite(lambda t: 1e308, 0.0, 10.0)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (0.0, math.inf),
+                                  (math.nan, 1.0)])
+def test_quad_finite_rejects_bad_bounds(a, b):
+    with pytest.raises(DomainError, match="need finite bounds with b > a"):
+        quad_finite(lambda t: 1.0, a, b)
+
+
+def test_quad_tail_rejects_negative_lower_bound():
+    with pytest.raises(DomainError, match="lower bound must be >= 0"):
+        quad_tail(lambda t: math.exp(-t), -1.0)
+
+
 def test_quad_nonconvergent_budget():
     # sin(1/t) oscillates without bound at 0: the 2000-subdivision budget
     # runs out at the default tolerance, far above the roundoff floor
@@ -220,6 +232,16 @@ def test_sequence_input_and_nonconvergence():
         euler_transform_sum(lambda m: 3.0**m)
 
 
+def test_non_finite_float_term_is_domain_error():
+    with pytest.raises(DomainError, match="term 1 is not finite"):
+        euler_transform_sum(lambda m: math.inf if m else 1.0)
+
+
+def test_negative_degree_is_rejected():
+    with pytest.raises(ValueError, match="need at least one term"):
+        euler_transform_sum(lambda m: 1, degree=-1)
+
+
 def test_result_type():
     r = euler_transform_sum(lambda m: 1.0 / (m + 1) ** 2)
     assert isinstance(r, float)
@@ -261,5 +283,7 @@ def test_richardson_validation_and_domain():
         richardson_limit(lambda e: e, -1.0, 2.0, 2)
     with pytest.raises(ValueError):
         richardson_limit(lambda e: e, 0.1, 1.0, 2)
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        richardson_limit(lambda e: e, 0.1, 2.0, 0)
     with pytest.raises(DomainError):
         richardson_limit(lambda e: float("inf"), 0.1, 2.0, 2)

@@ -104,6 +104,13 @@ def test_mellin_agrees_with_series():
             assert abs(series - mellin) <= 1e-8, (s, x)
 
 
+@pytest.mark.parametrize("s, x", [(100.0, 1.5), (150.0, 1.0)])
+def test_mellin_log_form_tail(s, x):
+    # the kernel times t^(s-1) overflows in the tail, which is taken in logs
+    series = euler_zeta(s, x)
+    assert abs(euler_zeta_mellin(s, x).value - series) <= 1e-12 * abs(series)
+
+
 def test_mellin_domain():
     with pytest.raises(DomainError):
         euler_zeta_mellin(0.0, 1.0)
@@ -465,6 +472,8 @@ def test_neg_domain():
         zeta_deg_neg(2, F(-1), F(1, 4))
     with pytest.raises(DomainError):
         zeta_deg_neg(2, 1, F(3, 2))
+    with pytest.raises(DomainError, match="n must be >= 0"):
+        zeta_deg_neg_plain(-1, 1, F(1, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +570,14 @@ def test_discrepancy_grid_all_scaled():
                 rep = discrepancy_experiment(n, x, lam)
                 assert rep.winner == "scaled", (n, x, lam)
                 assert abs(rep.value_continued - float(rep.value_scaled)) <= 1e-4
+
+
+def test_discrepancy_below_x_one():
+    # the Taylor depth sets the strip's left end, so x < 1 is no obstacle
+    rep = discrepancy_experiment(2, F(1, 2), F(1, 4))
+    assert rep.winner == "scaled"
+    assert abs(rep.value_continued - float(rep.value_scaled)) <= 1e-10
+    assert rep.gap > 3 * rep.error_estimate
 
 
 def test_discrepancy_evaluates_each_point_once(monkeypatch):
