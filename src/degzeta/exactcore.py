@@ -12,9 +12,13 @@ that drives the expansion of (1+lt)^(y/l):
     (1+lt)^(y/l) = sum_m (y|l)_m t^m / m!        (valid termwise for l = 0 too,
                                                   where it degenerates to e^(yt))
 
-One integer kernel, `euler_scaled`, produces E_n(x|l) for a rational x:
-with l = p/q, x = a/b and D = bq it runs the recurrence for
-F_n = (2D)^n E_n(x|l) over integers, and each value is divided out once.
+One integer kernel, `euler_scaled`, produces E_n(x|l) for a rational x.
+In u = log(1+lt)/l the generating function is e^(xu) g(u), g(u) = 2/(e^u+1),
+and d/dt = e^(-lu) d/du, whence E_n(x|l) = [prod_{j<n} (d/du + x - jl) g](0).
+With l = p/q, x = a/b and D = bq the kernel applies these factors to the
+derivatives E_k(0) of g at 0 scaled by powers of 2D, all integers, in O(n^2)
+small-by-large products; it yields F_n = (2D)^n E_n(x|l), and each value
+is divided out once.
 `euler_poly_deg_values` reads values from it directly; `euler_poly_deg`
 takes the numbers E_k(0|l) from it and combines them with the integer
 falling-factorial polynomials q^m (x|l)_m through the product form
@@ -31,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from math import comb
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 __all__ = [
@@ -336,35 +341,39 @@ def kernel_series_in_x(lam: RationalLike, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
+def _euler_zero_scaled() -> Iterator[int]:
+    """Yield 2^n E_n(0): 1, then 0 at even n and (-1)^m T_n at n = 2m - 1,
+    the tangent numbers T_n ending the rows of Seidel's boustrophedon."""
+    yield 1
+    row = [1]
+    for n in count(1):
+        row = list(accumulate(reversed(row), initial=0))
+        yield 0 if n % 2 == 0 else row[-1] if n % 4 == 3 else -row[-1]
+
+
 def euler_scaled(x: Fraction, lam: Fraction) -> Iterator[int]:
     """Yield the integers F_n = (2D)^n E_n(x|lam), n = 0, 1, ..., D = bq.
 
-    With x = a/b and lam = p/q, clearing (2D)^n from the recurrence of
-    `euler_poly_deg_values` leaves
+    With x = a/b and lam = p/q, V^(j)_k = (2D)^(j+k) times the k-th
+    derivative at 0 of prod_{i<j} (d/du + x - i lam) g (module docstring) gives
 
-        F_n = X_n - sum_{k<n} C(n,k) U_{n-k} F_k,
-        X_n = prod_{j<n} 2(aq - jpb),
-        U_m = 2^(m-1) b^m prod_{j<m} (q - jp),
+        V^(0)_k = D^k 2^k E_k(0),  V^(j+1)_k = V^(j)_{k+1} + 2(aq - jpb) V^(j)_k,
 
-    so the whole recurrence runs over integers.  The generator can be
-    resumed to extend the sequence to any depth.
+    all integers, and F_n = V^(n)_0.  Each new n pushes V^(0)_n onto the
+    kept anti-diagonal j + k = n - 1 and sweeps it once, one small-by-large
+    product and one addition per entry; the generator can be resumed to
+    extend the sequence to any depth.
     """
-    b = x.denominator
-    ffx = ffd_scaled(x, lam)  # D^n (x|lam)_n
-    ff1 = ffd_scaled(Fraction(1), lam)  # q^m (1|lam)_m
-    next(ff1)  # U_m is needed from m = 1 on
-    scaled: list[int] = []
-    u = [0]  # u[m] = U_m for m >= 1
-    binom = [1]  # C(n, k), k = 0..n
-    b_pow = 1
-    for n in count():
-        acc = next(ffx) << n
-        acc -= sum(c * u_m * f for c, u_m, f in zip(binom, reversed(u), scaled))
-        scaled.append(acc)
-        yield acc
-        b_pow *= b
-        u.append(b_pow * next(ff1) << n)
-        binom = [1, *map(sum, zip(binom, binom[1:])), 1]
+    a, b = x.numerator, x.denominator
+    p, q = lam.numerator, lam.denominator
+    diag: list[int] = []  # V^(j)_{n-1-j}, j = 0..n-1
+    steps: list[int] = []  # 2(aq - jpb), j = 0..n-1
+    d_pow = 1
+    for n, e in enumerate(_euler_zero_scaled()):
+        diag = list(accumulate(map(mul, steps, diag), initial=d_pow * e))
+        yield diag[-1]
+        d_pow *= b * q
+        steps.append(2 * (a * q - n * p * b))
 
 
 def euler_poly_deg(n: int, lam: RationalLike) -> PolyRational:
@@ -411,15 +420,15 @@ def euler_number_deg(n: int, lam: RationalLike) -> Fraction:
 def euler_poly_deg_values(n_max: int, x: RationalLike, lam: RationalLike) -> list[Fraction]:
     """Values E_0(x|lam), ..., E_{n_max}(x|lam) at a fixed rational x.
 
-    Clearing the denominator of the generating function gives
+    Each is the integer (2D)^n E_n(x|lam) from `euler_scaled` (x = a/b,
+    lam = p/q, D = bq) divided out once.  The kernel applies
 
-        E_n(x|lam) = (x|lam)_n - (1/2) sum_{k<n} C(n,k) (1|lam)_{n-k} E_k(x|lam),
+        E_n(x|lam) = [prod_{j<n} (d/du + x - j lam) g](0),  g(u) = 2/(e^u + 1),
 
-    E_0 = 1, which `euler_scaled` runs over integers scaled by (2D)^n; each
-    value is divided out once at the end.  O(n_max^2) integer operations,
-    on integers that grow with n.  The zeta continuation does not call
-    this: its Taylor coefficients come from `zetadeg._certified_coeffs`,
-    which falls back on `euler_scaled` itself.
+    to the derivatives of g at 0 scaled by powers of 2D: O(n_max^2)
+    small-by-large products, on integers that grow with n.  The zeta
+    continuation does not call this: its Taylor coefficients come from
+    `zetadeg._certified_coeffs`, which falls back on `euler_scaled` itself.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

@@ -334,6 +334,22 @@ def test_s_and_lambda_read_p_over_q(capsys, argv, pq_argv):
     assert run_cli(capsys, *pq_argv) == (0, out, "")
 
 
+@pytest.mark.parametrize("argv, eq_argv", [
+    (["zeta", "--s", "-3/2", "--x", "1", "--lambda", "1/10"],
+     ["zeta", "--s=-3/2", "--x", "1", "--lambda", "1/10"]),
+    (["gamma", "--s", "1/2", "--lambda", "-1/5"], ["gamma", "--s", "1/2", "--lambda=-1/5"]),
+    (["euler", "--n", "3", "--x", "-1/3", "--lambda", "-1/2"],
+     ["euler", "--n", "3", "--x=-1/3", "--lambda=-1/2"]),
+    (["zeta-neg", "--n", "2", "--x", "-5/2", "--lambda", "-1/4"],
+     ["zeta-neg", "--n", "2", "--x=-5/2", "--lambda=-1/4"]),
+], ids=["zeta-s", "gamma-lambda", "euler-x-lambda", "zeta-neg-x-lambda"])
+def test_negative_p_over_q_needs_no_equals_sign(capsys, argv, eq_argv):
+    result = run_cli(capsys, *argv)
+    assert result == run_cli(capsys, *eq_argv)
+    if argv[0] == "zeta":
+        assert result == (0, "2.5576800537332495e-01\n", "")
+
+
 def test_bad_s_keeps_the_float_usage_message(capsys):
     with pytest.raises(SystemExit):
         main(["zeta", "--s", "abc", "--x", "1"])

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from degzeta.exactcore import (
     kernel_series,
     series_oracle,
 )
+from degzeta.exactcore import _euler_zero_scaled
 
 LAMBDAS = [F(0), F(1, 10), F(1, 2), F(9, 10)]
 
@@ -199,6 +201,58 @@ def _fraction_values(n_max, x, lam):
         acc = sum(math.comb(n, k) * ff1[n - k] * values[k] for k in range(n))
         values.append(ffx[n] - acc / 2)
     return values
+
+
+_XS = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=40),
+       st.one_of(st.just(F(0)), _RATIONAL_LAMBDAS), _XS)
+def test_euler_scaled_equals_fraction_recurrence_property(n, lam, x):
+    two_d = 2 * x.denominator * lam.denominator
+    expected = [two_d ** k * v for k, v in enumerate(_fraction_values(n, x, lam))]
+    assert list(islice(euler_scaled(x, lam), n + 1)) == expected
+
+
+def _convolution_scaled(x, lam):
+    """The earlier body of `euler_scaled`, reference for the deep pins:
+
+        F_n = X_n - sum_{k<n} C(n,k) U_{n-k} F_k,
+        X_n = prod_{j<n} 2(aq - jpb),
+        U_m = 2^(m-1) b^m prod_{j<m} (q - jp).
+    """
+    b = x.denominator
+    ffx = ffd_scaled(x, lam)  # D^n (x|lam)_n
+    ff1 = ffd_scaled(F(1), lam)  # q^m (1|lam)_m
+    next(ff1)  # U_m is needed from m = 1 on
+    scaled: list[int] = []
+    u = [0]  # u[m] = U_m for m >= 1
+    binom = [1]  # C(n, k), k = 0..n
+    b_pow = 1
+    for n in count():
+        acc = next(ffx) << n
+        acc -= sum(c * u_m * f for c, u_m, f in zip(binom, reversed(u), scaled))
+        scaled.append(acc)
+        yield acc
+        b_pow *= b
+        u.append(b_pow * next(ff1) << n)
+        binom = [1, *map(sum, zip(binom, binom[1:])), 1]
+
+
+@pytest.mark.parametrize("depth", [120, 160, 200])
+@pytest.mark.parametrize("x, lam", [(F(13, 8), F(-701, 1009)), (F(21, 8), F(383, 509))])
+def test_euler_scaled_matches_convolution_at_exact_depths(depth, x, lam):
+    assert (list(islice(euler_scaled(x, lam), depth + 1))
+            == list(islice(_convolution_scaled(x, lam), depth + 1)))
+
+
+def test_euler_zero_stream_matches_series_oracle():
+    oracle = series_oracle(20, 0)
+    zeros = list(islice(_euler_zero_scaled(), 21))
+    assert zeros == [2 ** n * oracle[n](0) for n in range(21)]
+    tangents = [abs(v) for v in islice(_euler_zero_scaled(), 1, 17, 2)]
+    assert tangents == [1, 2, 16, 272, 7936, 353792, 22368256, 1903757312]
 
 
 def _midpoint_or_zero(v):
