@@ -216,7 +216,7 @@ def test_euler_scaled_equals_fraction_recurrence_property(n, lam, x):
 
 
 def _convolution_scaled(x, lam):
-    """The earlier body of `euler_scaled`, reference for the deep pins:
+    """The integer convolution for F_n, reference for the deep pins:
 
         F_n = X_n - sum_{k<n} C(n,k) U_{n-k} F_k,
         X_n = prod_{j<n} 2(aq - jpb),
