@@ -387,10 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a token that starts with '-' for an option unless it is
-    # a plain negative decimal, so a negative p/q is joined as `--s=-3/2`
+    # a plain negative decimal, so a negative p/q is joined as `--s=-3/2`;
+    # `--l` to `--lambd` abbreviate `--lambda`, the one option from `--l`
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in ("--s", "--x", "--lambda") and re.match(r"-[\d.]", argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        opt = argv[i - 1]
+        if ((opt in ("--s", "--x") or len(opt) > 2 and "--lambda".startswith(opt))
+                and re.match(r"-[\d.]", argv[i])):
+            argv[i - 1:i + 1] = [f"{opt}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

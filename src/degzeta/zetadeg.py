@@ -71,6 +71,7 @@ from .numerics import (
     NonConvergentError,
     QuadConfig,
     QuadResult,
+    _cvz_sum,
     euler_transform_sum,
     richardson_limit,
 )
@@ -119,8 +120,10 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
     n + 1 of them (`_zeta_abel` at l = 0).  Returns a Fraction on this
     path.
 
-    For other s the alternating series is summed with acceleration to a
-    relative tolerance and a float comes back.  A non-finite s, or an
+    For other s a float comes back.  At s > 0 the terms (1 + m/x)^(-s) are
+    the moments of x^s e^(-xu) u^(s-1) du / Gamma(s) in t = e^(-u), summed
+    by `numerics._cvz_sum`; at s < 0 they grow, and the float loop of
+    `euler_transform_sum` sums them.  A non-finite s, or an
     x^(-s) scale that takes the value past the float range, raises
     DomainError; a term (1 + m/x)^(-s) past the float range, at negative
     s, raises NonConvergentError, as the series cannot be summed there.
@@ -141,7 +144,7 @@ def euler_zeta(s: Union[int, float], x) -> Union[float, Fraction]:
                 f"term {m} of the series at s={s!r} overflows the float range"
             ) from None
 
-    acc = euler_transform_sum(term)
+    acc = (_cvz_sum if s > 0 else euler_transform_sum)(term)
     try:
         value = 2.0 * acc * xr ** (-s)
     except OverflowError:
@@ -175,15 +178,16 @@ def euler_zeta_mellin(s: float, x: float, cfg: QuadConfig | None = None) -> Quad
 def _zeta_series(s: float, x: float, lam: float) -> float:
     """2 Gamma(1/l)/Gamma(1/l-s) sum_m (-1)^m Gamma((m+x)/l - s)/Gamma((m+x)/l).
 
-    Every ratio in closed form (`_gamma_ratio`), summed with Euler
-    acceleration to a relative tolerance.  Where the first term or the
-    prefactor lies outside the normal float range, both are scaled by
-    powers of 2 and the ratios a_m/a_0 are summed instead, from the start.
-    Callers check the domain.
+    Every ratio in closed form (`_gamma_ratio`).  In the domain each is
+    B((m+x)/l - s, s)/Gamma(s), a moment of a positive measure on [0, 1]
+    (u = t^(1/l) in the beta integral), so `numerics._cvz_sum` sums them.
+    Where the first term or the prefactor lies outside the normal float
+    range, both are scaled by powers of 2 and the ratios a_m/a_0 are summed
+    instead, from the start.  Callers check the domain.
     """
     t0, g = _gamma_ratio(x, lam, s), _gamma_ratio(1.0, lam, s)
     if all(sys.float_info.min <= abs(v) <= sys.float_info.max for v in (t0, g)):
-        return 2.0 * euler_transform_sum(
+        return 2.0 * _cvz_sum(
             lambda m: _gamma_ratio(m + x, lam, s) if m else t0) / g
     f0, e0 = _gamma_ratio_frexp(x, lam, s)
     f1, e1 = _gamma_ratio_frexp(1.0, lam, s)
@@ -192,7 +196,7 @@ def _zeta_series(s: float, x: float, lam: float) -> float:
         f, e = _gamma_ratio_frexp(m + x, lam, s)
         return math.ldexp(f / f0, e - e0)
 
-    acc = euler_transform_sum(ratio)
+    acc = _cvz_sum(ratio)
     try:
         return math.ldexp(2.0 * acc * f0 / f1, e0 - e1)
     except OverflowError:
@@ -203,7 +207,8 @@ def zeta_deg_int(n: int, x: float, lam: float) -> float:
     """`zeta_deg` at a positive integer s = n, checked to be one.
 
     There the series' gamma ratios are finite products:
-    2 prod_j (1/l - j) sum_m (-1)^m / prod_j ((m+x)/l - j), j = 1..n.
+    2 prod_j (1/l - j) sum_m (-1)^m / prod_j ((m+x)/l - j), j = 1..n,
+    a moment series summed like any other (`_zeta_series`).
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError("n must be a positive integer")

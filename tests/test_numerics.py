@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degzeta.numerics import (
+    _CVZ_WEIGHTS,
     DomainError,
     NonConvergentError,
     QuadConfig,
     QuadResult,
+    _cvz_sum,
     euler_transform_sum,
     quad_finite,
     quad_tail,
@@ -246,6 +248,43 @@ def test_result_type():
     r = euler_transform_sum(lambda m: 1.0 / (m + 1) ** 2)
     assert isinstance(r, float)
     assert abs(r - math.pi**2 / 12.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# CVZ weights for moment sequences
+# ---------------------------------------------------------------------------
+
+_CVZ_BOUND = 31 * (2 * 2.0**-52)  # the docstring's 31 (eps_term + 2^-52), eps_term = 1 ulp
+
+
+def test_cvz_weights_as_documented():
+    assert len(_CVZ_WEIGHTS) == 21
+    assert abs(math.fsum(_CVZ_WEIGHTS) - 0.5) <= 2.0**-52
+    assert 14.84 < math.fsum(abs(w) for w in _CVZ_WEIGHTS) < 14.85
+
+
+@pytest.mark.parametrize("term, value", [
+    (lambda m: 1.0 / (m + 1), math.log(2.0)),
+    (lambda m: 1.0 / (m + 1) ** 2, math.pi**2 / 12.0),
+], ids=["ln2", "pi2/12"])
+def test_cvz_known_sums_within_4_ulp(term, value):
+    calls = []
+    r = _cvz_sum(lambda m: calls.append(m) or term(m))
+    assert abs(r - value) <= 4 * math.ulp(value)
+    assert calls == list(range(21))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_cvz_geometric_moments_within_the_bound(r):
+    # r^m are the moments of the point mass at r; the sum is 1/(1+r)
+    exact = 1 / (1 + F(r))
+    assert abs(F(_cvz_sum(lambda m: r**m)) / exact - 1) <= _CVZ_BOUND
+
+
+def test_cvz_non_finite_term_is_domain_error():
+    with pytest.raises(DomainError, match="term 3 is not finite"):
+        _cvz_sum(lambda m: math.nan if m == 3 else 1.0)
 
 
 # ---------------------------------------------------------------------------

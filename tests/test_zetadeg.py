@@ -53,7 +53,7 @@ def test_zeta_at_zero_is_one():
 
 
 def test_alternating_harmonic_value():
-    assert abs(euler_zeta(1, 1) - 2.0 * math.log(2.0)) <= 1e-10
+    assert abs(euler_zeta(1, 1) - 2.0 * math.log(2.0)) <= 4 * math.ulp(2.0 * math.log(2.0))
 
 
 def test_positive_x_required():
@@ -379,8 +379,9 @@ def test_frozen_reference(row):
     s, x, lam = row["s"], row["x"], row["lambda"]
     ref = F(row["value"])
     if lam == 0:
-        # at s < 0 the float loop sums a divergent series, 2.8e-11 off at worst
-        assert _rel_err(euler_zeta(s, x), ref) <= (1e-10 if s < 0 else 1e-13)
+        # at s < 0 the float loop sums a divergent series, 2.8e-11 off at worst;
+        # at s > 0 the CVZ weights are 1.2e-16 off at worst
+        assert _rel_err(euler_zeta(s, x), ref) <= (1e-10 if s < 0 else 1e-15)
         return
     if not s < min(1.0, x) / lam - DOMAIN_MARGIN:
         # past the pole at s = x/lambda the series still sums, but the
@@ -393,6 +394,7 @@ def test_frozen_reference(row):
                 route(s_arg, x, lam)
         assert _rel_err(zetadeg._zeta_series(s, x, lam), ref) <= 1e-8
         return
+    # 1.2e-13 off at worst, at lambda = 0.01: the lgamma difference, not the sum
     assert _rel_err(zeta_deg(s, x, lam), ref) <= 1e-12
     if s.is_integer():
         assert _rel_err(zeta_deg_int(int(s), x, lam), ref) <= 1e-12
