@@ -364,8 +364,7 @@ def _cvz_sum(a: Callable[[int], float]) -> float:
     """
     products = []
     for k, w in enumerate(_CVZ_WEIGHTS):
-        t = a(k)
-        if not math.isfinite(t):
+        if not math.isfinite(t := a(k)):
             raise DomainError(f"term {k} is not finite")
         products.append(w * t)
     return math.fsum(products)
