@@ -38,6 +38,7 @@ from .numerics import (
     DomainError,
     QuadConfig,
     QuadResult,
+    _quad_tail_pair,
     _quad_tail_power,
     quad_finite,
 )
@@ -96,11 +97,38 @@ def _mellin_quad(kern, log_kern, s: float, cfg: QuadConfig | None,
     p = (math.floor(s) + 4.0) / (s + 1.0)
     q = p * s - 1.0
     h = quad_finite(lambda u: p * (kern(u**p) - 1.0) * u**q, 0.0, 1.0, cfg)
-    head = 1.0 / s + h.value
     tail = _mellin_tail(kern, log_kern, s, cfg, rate)
+    return _head_plus_tail(h, tail, s, h.subdivisions + tail.subdivisions)
+
+
+def _mellin_quad_pair(kerns, log_kerns, s: float, cfg: QuadConfig | None,
+                      rate: float) -> tuple[QuadResult, QuadResult]:
+    """`_mellin_quad` of two kernels on shared panels: kerns(t) is their pair.
+
+    The heads are one pair quadrature and the tails another
+    (`_mellin_tail_pair`), whose power r comes from the kernel of the
+    smaller decay rate, `rate`.  Both results count the pair's bisections.
+    """
+    p = (math.floor(s) + 4.0) / (s + 1.0)
+    q = p * s - 1.0
+
+    def head(u: float) -> tuple[float, float]:
+        k1, k2 = kerns(u**p)
+        c = p * u**q
+        return (k1 - 1.0) * c, (k2 - 1.0) * c
+
+    h1, h2 = quad_finite(head, 0.0, 1.0, cfg)
+    t1, t2 = _mellin_tail_pair(kerns, log_kerns, s, cfg, rate)
+    n = h1.subdivisions + t1.subdivisions
+    return _head_plus_tail(h1, t1, s, n), _head_plus_tail(h2, t2, s, n)
+
+
+def _head_plus_tail(h: QuadResult, tail: QuadResult, s: float,
+                    subdivisions: int) -> QuadResult:
+    head = 1.0 / s + h.value
     return QuadResult(head + tail.value,
                       h.abs_error_estimate + _HEAD_ROUNDOFF * abs(head) + tail.abs_error_estimate,
-                      h.subdivisions + tail.subdivisions)
+                      subdivisions)
 
 
 def _log_peak(log_f) -> float:
@@ -112,6 +140,14 @@ def _log_peak(log_f) -> float:
         if y < peak - 40.0:
             break
     return peak
+
+
+def _tail_power(s: float, rate: float | None) -> float:
+    """The tail map's power r for a kernel of decay rate `rate`, 1 without one."""
+    if rate is None:
+        return 1.0
+    eps = rate - s
+    return min(_TAIL_R_MAX, (math.floor(eps) + 3.0) / eps)
 
 
 def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
@@ -129,28 +165,54 @@ def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
     `_split_mellin`) r = 1, the plain u-map.
 
     The power alone can overflow at large t and s while the product stays
-    in range, so the tail is redone as exp(log_kern(t) + (s-1) log t) if a
-    sample or a sum overflows.  If the log of that integrand's peak,
-    L (`_log_peak`), is above 500, the integrand is divided by exp(L - 500)
-    and the result multiplied back: the peak then sits at ~1e217, clear of
-    overflow, including the map's r/(u w), and far above the absolute floor
-    1e-14, so the tolerance stays relative as it is unscaled.  Below that
-    nothing is scaled.
+    in range, so the tail is redone in logs (`_log_tail`) if a sample or a
+    sum overflows.
 
     Raises:
         DomainError: the quadrature, in logs too, leaves the float range:
             the value does, or lies within a factor ~1e4 of its edge.
         NonConvergentError: the quadrature did not converge.
     """
-    r = 1.0
-    if rate is not None:
-        eps = rate - s
-        r = min(_TAIL_R_MAX, (math.floor(eps) + 3.0) / eps)
+    r = _tail_power(s, rate)
     sm1 = s - 1.0
     try:
         return _quad_tail_power(lambda t: kern(t) * t**sm1, 1.0, r, cfg)
     except (OverflowError, DomainError):
-        pass
+        return _log_tail(log_kern, s, r, cfg)
+
+
+def _mellin_tail_pair(kerns, log_kerns, s: float, cfg: QuadConfig | None,
+                      rate: float | None = None) -> tuple[QuadResult, QuadResult]:
+    """`_mellin_tail` of two kernels on shared panels, t^(s-1) taken once per node.
+
+    r is `_tail_power` of `rate`.  If the pair overflows, each kernel's
+    tail is redone in logs on its own (`_log_tail`, from `log_kerns`), and
+    both results count the bisections of the two.
+    """
+    r = _tail_power(s, rate)
+    try:
+        return _quad_tail_pair(kerns, s - 1.0, 1.0, r, cfg)
+    except (OverflowError, DomainError):
+        t1, t2 = (_log_tail(log_kern, s, r, cfg) for log_kern in log_kerns)
+    n = t1.subdivisions + t2.subdivisions
+    return (QuadResult(t1.value, t1.abs_error_estimate, n),
+            QuadResult(t2.value, t2.abs_error_estimate, n))
+
+
+def _log_tail(log_kern, s: float, r: float, cfg: QuadConfig | None) -> QuadResult:
+    """The tail of `_mellin_tail` as exp(log_kern(t) + (s-1) log t), in u = w^r.
+
+    If the log of that integrand's peak, L (`_log_peak`), is above 500, the
+    integrand is divided by exp(L - 500) and the result multiplied back:
+    the peak then sits at ~1e217, clear of overflow, including the map's
+    r/(u w), and far above the absolute floor 1e-14, so the tolerance stays
+    relative as it is unscaled.  Below that nothing is scaled.
+
+    Raises:
+        DomainError: the value leaves the float range, or lies within a
+            factor ~1e4 of its edge.
+    """
+    sm1 = s - 1.0
 
     def log_f(t: float) -> float:
         return log_kern(t) + sm1 * math.log(t)

@@ -15,6 +15,13 @@ u^(a-s-1) times a smooth factor at u = 1/(1+t) = 0, and u = w^r
 (`_quad_tail_power`, of which `quad_tail` is r = 1) turns that into an
 integer power of w too, with r chosen by `gammadeg._mellin_tail`.
 
+A pair integrand, f(t) = (f1(t), f2(t)), is integrated on shared panels:
+one call per node serves both components, and the loop bisects until each
+meets its own tolerance (`quad_finite`).  The zeta ratios of `zetadeg`
+take their numerator and denominator kernels this way, heads and tails
+alike, so the shared logarithms, exponentials and powers of t are
+computed once per node (`gammadeg._mellin_quad_pair`, `_mellin_tail_pair`).
+
 The Euler transformation rewrites sum_m (-1)^m a_m as
 
     sum_k (-1)^k (D^k a)_0 / 2^(k+1),      D = forward difference,
@@ -112,19 +119,30 @@ _GK15 = (
 )
 
 
-def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+_GK15_AFTER_FIRST = _GK15[1:]
+_GK15_WEIGHTS = tuple((wg, wk) for _, wg, wk in _GK15)
+
+
+def _gk_panel(f: Callable[[float], float], a: float, b: float,
+              y0: float | None = None) -> tuple[float, float]:
     """One Gauss-Kronrod panel on [a, b]: (K15 value, error estimate).
 
-    The estimate follows the usual nested-rule heuristic: |K15 - G7|
-    damped by the integral of |f - mean| so that nearly-singular panels
-    are not reported as more accurate than they are.  It is never below
-    the roundoff floor _ROUNDOFF * resabs, resabs the K15 value of |f|.
+    y0, if given, is f's value at the first node, already evaluated.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     gauss = kronrod = 0.0
     ys = []
-    for x, wg, wk in _GK15:
+    nodes = _GK15
+    if y0 is not None:
+        x, wg, wk = _GK15[0]
+        if not math.isfinite(y0):
+            raise DomainError(f"integrand evaluated non-finite at t={c + h * x!r}")
+        gauss += wg * y0
+        kronrod += wk * y0
+        ys.append(y0)
+        nodes = _GK15_AFTER_FIRST
+    for x, wg, wk in nodes:
         t = c + h * x
         y = f(t)
         if not math.isfinite(y):
@@ -137,19 +155,64 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     for (_, _, wk), y in zip(_GK15, ys):
         resabs += wk * abs(y)
         resasc += wk * abs(y - mean)
-    value = kronrod * h
+    return _gk_estimate(h, gauss, kronrod, resabs, resasc)
+
+
+def _gk_pair_panel(f, a: float, b: float, y0: tuple[float, float] | None = None
+                   ) -> tuple[float, float, float, float]:
+    """`_gk_panel` of a pair integrand: (value 1, error 1, value 2, error 2).
+
+    The components share the nodes.  Every Kronrod weight is positive, so
+    a K15 sum is finite only if each of its samples is.
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    ys = [f(c + h * _GK15[0][0]) if y0 is None else y0]
+    ys += [f(c + h * x) for x, _, _ in _GK15_AFTER_FIRST]
+    g1 = k1 = g2 = k2 = 0.0
+    for (wg, wk), (y1, y2) in zip(_GK15_WEIGHTS, ys):
+        g1 += wg * y1
+        k1 += wk * y1
+        g2 += wg * y2
+        k2 += wk * y2
+    if not (math.isfinite(k1) and math.isfinite(k2)):
+        raise DomainError(f"pair integrand or its sum not finite on [{a!r}, {b!r}]")
+    mean1 = k1 / 2.0
+    mean2 = k2 / 2.0
+    abs1 = asc1 = abs2 = asc2 = 0.0
+    for (_, wk), (y1, y2) in zip(_GK15_WEIGHTS, ys):
+        # abs() of a finite float, without the cost of a call
+        d1 = y1 - mean1
+        d2 = y2 - mean2
+        abs1 += wk * (y1 if y1 >= 0.0 else -y1)
+        asc1 += wk * (d1 if d1 >= 0.0 else -d1)
+        abs2 += wk * (y2 if y2 >= 0.0 else -y2)
+        asc2 += wk * (d2 if d2 >= 0.0 else -d2)
+    return (*_gk_estimate(h, g1, k1, abs1, asc1), *_gk_estimate(h, g2, k2, abs2, asc2))
+
+
+def _gk_estimate(h: float, gauss: float, kronrod: float, resabs: float,
+                 resasc: float) -> tuple[float, float]:
+    """(K15 value, error estimate) of a panel of half-width h from its sums.
+
+    gauss and kronrod are the G7 and K15 sums of f, resabs that of |f| and
+    resasc that of |f - mean|, mean = kronrod / 2.  The estimate follows
+    the usual nested-rule heuristic: |K15 - G7| damped by the integral of
+    |f - mean| so that nearly-singular panels are not reported as more
+    accurate than they are.  It is never below the roundoff floor
+    _ROUNDOFF * resabs * h.
+    """
     resabs *= h
     resasc *= h
     diff = abs(kronrod - gauss) * h
     err = diff
     if resasc != 0.0 and diff != 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    err = max(err, _ROUNDOFF * resabs)
-    return value, err
+    return kronrod * h, max(err, _ROUNDOFF * resabs)
 
 
 def quad_finite(f: Callable[[float], float], a: float, b: float,
-                cfg: QuadConfig | None = None) -> QuadResult:
+                cfg: QuadConfig | None = None) -> QuadResult | tuple[QuadResult, QuadResult]:
     """Adaptive Gauss-Kronrod integration of f on the finite interval [a, b].
 
     Bisects the interval with the largest error estimate until the summed
@@ -163,6 +226,14 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     _ABS_FLOOR / _ROUNDOFF (~0.9).  Once the value less its error estimate
     is above that, the loop stops instead of bisecting on.
 
+    A pair integrand, f(t) = (f1(t), f2(t)) as a tuple, is integrated on
+    shared panels, and one QuadResult per component comes back.  Each
+    component must meet its own max(_ABS_FLOOR, cfg.rel_tol * |I_k|); the
+    loop bisects the panel of largest error over tolerance, the larger of
+    its two components'.  The roundoff floor, checked for each component
+    not yet met, and the budget apply to the pair, and both results count
+    the shared bisections.
+
     Raises:
         NonConvergentError: rel_tol is below the roundoff floor for an
             integral this large, or the budget ran out with the error
@@ -173,8 +244,11 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     cfg = cfg or QuadConfig()
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError("need finite bounds with b > a")
+    y0 = f(0.5 * (a + b) + 0.5 * (b - a) * _GK15[0][0])  # the first panel's first sample
+    if isinstance(y0, tuple):
+        return _quad_pair(f, a, b, cfg, y0)
     below_floor = cfg.rel_tol < _ROUNDOFF
-    val, err = _gk_panel(f, a, b)
+    val, err = _gk_panel(f, a, b, y0)
     total_val = val
     total_err = err
     counter = 0
@@ -183,16 +257,9 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     try:
         while total_err > max(_ABS_FLOOR, cfg.rel_tol * abs(total_val)):
             if below_floor and _ROUNDOFF * (low := abs(total_val) - total_err) > _ABS_FLOOR:
-                raise NonConvergentError(
-                    f"quadrature roundoff floor {_ROUNDOFF * low:.3e} above tolerance "
-                    f"{max(_ABS_FLOOR, cfg.rel_tol * low):.3e} at |integral| >= {low:.3e} "
-                    f"after {subdivisions} subdivisions"
-                )
+                raise _floor_error(low, cfg.rel_tol, subdivisions)
             if subdivisions >= _MAX_BISECTIONS:
-                raise NonConvergentError(
-                    f"quadrature error {total_err:.3e} above tolerance after "
-                    f"{subdivisions} subdivisions"
-                )
+                raise _budget_error(total_err, subdivisions)
             _, _, lo, hi, v, e = heapq.heappop(heap)
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
@@ -210,10 +277,70 @@ def quad_finite(f: Callable[[float], float], a: float, b: float,
     finally:
         # a kept error's traceback keeps this frame, so drop the panels
         heap.clear()
-    if not (math.isfinite(total_val) and math.isfinite(total_err)):
-        raise DomainError(
-            f"quadrature sum overflows the float range ({total_val!r} +- {total_err!r})")
+    _check_sum(total_val, total_err)
     return QuadResult(total_val, total_err, subdivisions)
+
+
+def _quad_pair(f, a: float, b: float, cfg: QuadConfig,
+               y0: tuple[float, float]) -> tuple[QuadResult, QuadResult]:
+    """`quad_finite` for a pair integrand whose first sample is y0."""
+    rel_tol = cfg.rel_tol
+    below_floor = rel_tol < _ROUNDOFF
+    val1, err1, val2, err2 = _gk_pair_panel(f, a, b, y0)
+    counter = 0
+    heap = [(0.0, counter, a, b, val1, err1, val2, err2)]
+    subdivisions = 0
+    try:
+        while True:
+            tol1 = max(_ABS_FLOOR, rel_tol * abs(val1))
+            tol2 = max(_ABS_FLOOR, rel_tol * abs(val2))
+            if err1 <= tol1 and err2 <= tol2:
+                break
+            if below_floor:
+                for val, err, tol in ((val1, err1, tol1), (val2, err2, tol2)):
+                    if err > tol and _ROUNDOFF * (low := abs(val) - err) > _ABS_FLOOR:
+                        raise _floor_error(low, rel_tol, subdivisions)
+            if subdivisions >= _MAX_BISECTIONS:
+                raise _budget_error(err1 if err1 > tol1 else err2, subdivisions)
+            _, _, lo, hi, v1, e1, v2, e2 = heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                raise NonConvergentError("interval underflow before reaching tolerance")
+            left = _gk_pair_panel(f, lo, mid)
+            right = _gk_pair_panel(f, mid, hi)
+            val1 += left[0] + right[0] - v1
+            err1 += left[1] + right[1] - e1
+            val2 += left[2] + right[2] - v2
+            err2 += left[3] + right[3] - e2
+            for panel_lo, panel_hi, panel in ((lo, mid, left), (mid, hi, right)):
+                counter += 1
+                key = -max(panel[1] / tol1, panel[3] / tol2)
+                heapq.heappush(heap, (key, counter, panel_lo, panel_hi, *panel))
+            subdivisions += 1
+    finally:
+        heap.clear()
+    _check_sum(val1, err1)
+    _check_sum(val2, err2)
+    return QuadResult(val1, err1, subdivisions), QuadResult(val2, err2, subdivisions)
+
+
+def _floor_error(low: float, rel_tol: float, subdivisions: int) -> NonConvergentError:
+    return NonConvergentError(
+        f"quadrature roundoff floor {_ROUNDOFF * low:.3e} above tolerance "
+        f"{max(_ABS_FLOOR, rel_tol * low):.3e} at |integral| >= {low:.3e} "
+        f"after {subdivisions} subdivisions"
+    )
+
+
+def _budget_error(err: float, subdivisions: int) -> NonConvergentError:
+    return NonConvergentError(
+        f"quadrature error {err:.3e} above tolerance after {subdivisions} subdivisions")
+
+
+def _check_sum(value: float, err: float) -> None:
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(
+            f"quadrature sum overflows the float range ({value!r} +- {err!r})")
 
 
 def quad_tail(f: Callable[[float], float], a: float,
@@ -268,6 +395,28 @@ def _quad_tail_power(f: Callable[[float], float], a: float, r: float,
         if not math.isfinite(y):
             raise DomainError(f"integrand evaluated non-finite at t={t!r}")
         return y
+
+    return quad_finite(mapped, 0.0, (1.0 / (1.0 + a)) ** (1.0 / r), cfg)
+
+
+def _quad_tail_pair(kerns, power: float, a: float, r: float,
+                    cfg: QuadConfig | None) -> tuple[QuadResult, QuadResult]:
+    """int_a^inf (k1(t), k2(t)) t^power dt on shared panels, kerns(t) = (k1(t), k2(t)).
+
+    The pair integrand of `quad_finite` in the w of `_quad_tail_power`:
+    t^power and the map's weight r/(u w) are computed once per node for
+    both components.
+    """
+    def mapped(w: float) -> tuple[float, float]:
+        u = w**r
+        uw = u * w
+        if u < _U_MIN or uw == 0.0:
+            raise NonConvergentError(
+                f"tail not resolved: bisection reached w={w!r}, where u or u*w underflows")
+        t = (1.0 - u) / u
+        weight = r * t**power / uw
+        k1, k2 = kerns(t)
+        return k1 * weight, k2 * weight
 
     return quad_finite(mapped, 0.0, (1.0 / (1.0 + a)) ** (1.0 / r), cfg)
 

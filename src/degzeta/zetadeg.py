@@ -59,12 +59,13 @@ from .gammadeg import (
     _gamma_ratio,
     _gamma_ratio_frexp,
     _mellin_quad,
+    _mellin_quad_pair,
     _mellin_tail,
+    _mellin_tail_pair,
     _require_positive_x,
     deg_kernel,
     deg_log_kernel,
     gamma_classical,
-    gamma_deg,
 )
 from .numerics import (
     DomainError,
@@ -229,25 +230,26 @@ def zeta_deg(s: float, x: float, lam: float) -> float:
     return _zeta_series(s, x, lam)
 
 
-def deg_euler_zeta_kernel(x: float, lam: float):
-    """The map t -> 2 (1+lt)^(-x/l) / ((1+lt)^(-1/l) + 1), decaying like t^(-x/l)."""
+def deg_zeta_gamma_kernels(x: float, lam: float):
+    """(kerns, log_kerns) of the zeta ratio, for the Mellin pair quadratures.
+
+    kerns maps t to the numerator's and denominator's kernels,
+    (F(-t,x|-l), (1+lt)^(-1/l)) = (2 (1+lt)^(-x/l) / ((1+lt)^(-1/l) + 1),
+    (1+lt)^(-1/l)), from one log1p and two exp; they decay like t^(-x/l)
+    and t^(-1/l).  log_kerns are the two maps t -> log of each.
+    """
     inv = 1.0 / lam
 
-    def kern(t: float) -> float:
+    def kerns(t: float) -> tuple[float, float]:
         ell = math.log1p(lam * t) * inv
-        return 2.0 * math.exp(-x * ell) / (math.exp(-ell) + 1.0)
+        g = math.exp(-ell)
+        return 2.0 * math.exp(-x * ell) / (g + 1.0), g
 
-    return kern
-
-
-def deg_euler_zeta_log_kernel(x: float, lam: float):
-    """The map t -> log of `deg_euler_zeta_kernel(x, lam)`."""
-
-    def log_kern(t: float) -> float:
+    def log_zeta_kern(t: float) -> float:
         ell = math.log1p(lam * t) / lam
         return math.log(2.0) - x * ell - math.log1p(math.exp(-ell))
 
-    return log_kern
+    return kerns, (log_zeta_kern, deg_log_kernel(lam))
 
 
 def zeta_deg_mellin(s: float, x: float, lam: float,
@@ -256,15 +258,15 @@ def zeta_deg_mellin(s: float, x: float, lam: float,
 
     Evaluates [int_0^inf F(-t,x|-l) t^(s-1) dt] / Gamma(s|l).  The kernel
     decays like t^(-x/l), so s < x/l - delta is enforced on top of the
-    gamma domain (`gammadeg._check_domain`).
+    gamma domain (`gammadeg._check_domain`).  Numerator and denominator
+    share their panels (`gammadeg._mellin_quad_pair`), the tails' map set
+    by the slower decay, t^(-min(1, x)/l).
     """
     _check_domain(s, lam, x)
-    num = _mellin_quad(deg_euler_zeta_kernel(x, lam),
-                       deg_euler_zeta_log_kernel(x, lam), s, cfg, x / lam)
-    den = gamma_deg(s, lam, cfg)
+    num, den = _mellin_quad_pair(*deg_zeta_gamma_kernels(x, lam), s, cfg, min(1.0, x) / lam)
     value = num.value / den.value
     err = (num.abs_error_estimate + abs(value) * den.abs_error_estimate) / abs(den.value)
-    return QuadResult(value, err, num.subdivisions + den.subdivisions)
+    return QuadResult(value, err, num.subdivisions)
 
 
 def zeta_deg_neg(n: int, x: RationalLike, lam: RationalLike) -> Fraction:
@@ -432,7 +434,7 @@ def _certified_coeffs(x: Fraction | None, lam: Fraction):
 
 
 @lru_cache(maxsize=None)
-def _kernel_coeffs(x: Fraction | None, lam: Fraction) -> tuple[float, ...]:
+def _kernel_coeffs(x: float | Fraction | None, lam: float | Fraction) -> tuple[float, ...]:
     """Float Taylor coefficients at t = 0 of a continued kernel, to negligible depth.
 
     With x None the kernel is (1+lam*t)^(-1/lam), whose coefficients are
@@ -443,12 +445,17 @@ def _kernel_coeffs(x: Fraction | None, lam: Fraction) -> tuple[float, ...]:
     depth grows from 80 in steps of 40 until the last six coefficients
     are negligible.
 
+    x and lam are taken exactly, a float at its binary value.  The cache
+    is keyed on them as passed, so the continued routes look their float
+    arguments up without building and hashing a Fraction.
+
     Raises:
         NonConvergentError: the coefficients are still above the
             negligible level at the depth cap.
     """
     coeffs = []
-    for m, a in enumerate(_certified_coeffs(x, lam)):
+    exact_x = None if x is None else Fraction(x)
+    for m, a in enumerate(_certified_coeffs(exact_x, Fraction(lam))):
         coeffs.append(a)
         if m >= _COEFF_DEPTH_MIN and (m - _COEFF_DEPTH_MIN) % _COEFF_DEPTH_STEP == 0:
             tail = max(abs(c) for c in coeffs[-6:])
@@ -461,13 +468,19 @@ def _kernel_coeffs(x: Fraction | None, lam: Fraction) -> tuple[float, ...]:
                 )
 
 
-def _split_mellin(s: float, coeffs: tuple[float, ...], kern, log_kern,
-                  cfg: QuadConfig | None = None) -> tuple[float, float]:
+def _pole_part(s: float, coeffs: tuple[float, ...]) -> float:
+    """sum_m a_m/(s+m): the [0, 1] piece of a continued Mellin integral."""
     if s <= -(len(coeffs) - 5):
         raise DomainError(f"s={s!r} below the continued strip")
     pole_part = 0.0
     for m, a in enumerate(coeffs):
         pole_part += a / (s + m)
+    return pole_part
+
+
+def _split_mellin(s: float, coeffs: tuple[float, ...], kern, log_kern,
+                  cfg: QuadConfig | None = None) -> tuple[float, float]:
+    pole_part = _pole_part(s, coeffs)
     tail = _mellin_tail(kern, log_kern, s, cfg)
     return pole_part + tail.value, tail.abs_error_estimate
 
@@ -480,8 +493,7 @@ def gamma_deg_continued(s: float, lam: float) -> float:
     `gamma_deg_residue`).
     """
     _check_domain(s, lam, continued=True)
-    lamf = Fraction(lam)
-    value, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam),
+    value, _ = _split_mellin(s, _kernel_coeffs(None, lam), deg_kernel(lam),
                              deg_log_kernel(lam))
     return value
 
@@ -495,16 +507,14 @@ def zeta_deg_continued(s: float, x: float, lam: float,
     reproduces `zeta_deg`.  The strip is -(depth - 5) < s < x/lam - delta
     with the Taylor depth chosen automatically (the value is
     depth-independent because the [0,1] piece is integrated termwise to
-    negligible truncation).
+    negligible truncation).  The two [1, inf) tails share their panels
+    (`gammadeg._mellin_tail_pair`).
     """
     _check_domain(s, lam, x, continued=True)
-    xf = Fraction(x)
-    lamf = Fraction(lam)
-    num, _ = _split_mellin(s, _kernel_coeffs(xf, lamf), deg_euler_zeta_kernel(x, lam),
-                           deg_euler_zeta_log_kernel(x, lam), cfg)
-    den, _ = _split_mellin(s, _kernel_coeffs(None, lamf), deg_kernel(lam),
-                           deg_log_kernel(lam), cfg)
-    return num / den
+    num = _pole_part(s, _kernel_coeffs(x, lam))
+    den = _pole_part(s, _kernel_coeffs(None, lam))
+    num_tail, den_tail = _mellin_tail_pair(*deg_zeta_gamma_kernels(x, lam), s, cfg)
+    return (num + num_tail.value) / (den + den_tail.value)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,75 @@ def test_quad_config_validation():
             QuadConfig(rel_tol=bad)
 
 
+# pair integrands: f(t) = (f1(t), f2(t)) integrated on shared panels.  Each
+# case pairs components that need different refinement, or that differ in
+# magnitude by orders, with their integrals in closed form.
+_PAIRS = {
+    "sqrt_and_scaled_exp": (lambda t: (math.sqrt(t), 1e3 * math.exp(-t)), 0.0, 1.0,
+                            (2.0 / 3.0, 1e3 * (1.0 - math.exp(-1.0)))),
+    "runge_and_oscillation": (lambda t: (1.0 / (1.0 + 25.0 * t * t), math.cos(30.0 * t)),
+                              -1.0, 1.0, (0.4 * math.atan(5.0), math.sin(30.0) / 15.0)),
+    "tiny_and_log": (lambda t: (1e-6 * math.sin(t), math.log1p(t)), 0.0, 2.0,
+                     (1e-6 * (1.0 - math.cos(2.0)), 3.0 * math.log(3.0) - 2.0)),
+}
+
+
+@pytest.mark.parametrize("rel_tol", [None, 1e-8])
+@pytest.mark.parametrize("case", sorted(_PAIRS))
+def test_pair_components_each_meet_their_own_tolerance(case, rel_tol):
+    f, a, b, exact = _PAIRS[case]
+    cfg = None if rel_tol is None else QuadConfig(rel_tol=rel_tol)
+    tol = (cfg or QuadConfig()).rel_tol
+    pair = quad_finite(f, a, b, cfg)
+    assert len(pair) == 2 and pair[0].subdivisions == pair[1].subdivisions
+    for k, (q, ref) in enumerate(zip(pair, exact)):
+        assert q.abs_error_estimate <= max(1e-14, tol * abs(q.value))
+        assert abs(q.value - ref) <= q.abs_error_estimate + 1e-15 * abs(ref)
+        alone = quad_finite(lambda t: f(t)[k], a, b, cfg)
+        assert abs(q.value - alone.value) <= q.abs_error_estimate + alone.abs_error_estimate
+
+
+@pytest.mark.parametrize("f", [math.sqrt, lambda t: (math.sqrt(t), math.exp(t))],
+                         ids=["scalar", "pair"])
+def test_quad_evaluates_each_node_once(f):
+    # the sample that tells a pair integrand from a scalar one is the first
+    # panel's first node, not an extra evaluation
+    calls = [0]
+
+    def counted(t):
+        calls[0] += 1
+        return f(t)
+
+    q = quad_finite(counted, 0.0, 1.0)
+    bisections = q.subdivisions if isinstance(q, QuadResult) else q[0].subdivisions
+    assert calls[0] == 15 * (2 * bisections + 1)
+
+
+def test_pair_fails_fast_below_roundoff_floor():
+    # the second component is int_0^1 t^-0.9 dt = 10, as in
+    # test_quad_fails_fast_below_roundoff_floor; the first meets 1e-14 alone
+    evals = [0]
+
+    def f(t):
+        evals[0] += 1
+        return 1e-3 * t, t ** (-0.9)
+
+    with pytest.raises(NonConvergentError, match="roundoff floor .* above tolerance"):
+        quad_finite(f, 0.0, 1.0, QuadConfig(rel_tol=1e-14))
+    assert evals[0] <= 100
+
+
+def test_pair_budget_covers_both_components():
+    # the smooth first component converges at once; the second never does
+    with pytest.raises(NonConvergentError, match="after 2000 subdivisions"):
+        quad_finite(lambda t: (t, math.sin(1.0 / t)), 0.0, 1.0)
+
+
+def test_pair_non_finite_component_is_domain_error():
+    with pytest.raises(DomainError):
+        quad_finite(lambda t: (1.0, math.inf if t > 0.5 else 1.0), 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Euler transformation
 # ---------------------------------------------------------------------------

@@ -149,8 +149,8 @@ def test_series_routes_run_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature reached from the series route")
 
-    for module, name in ((zetadeg, "gamma_deg"), (zetadeg, "gamma_classical"),
-                         (gammadeg, "quad_finite"), (gammadeg, "_quad_tail_power"),
+    for module, name in ((zetadeg, "gamma_classical"), (gammadeg, "quad_finite"),
+                         (gammadeg, "_quad_tail_power"), (gammadeg, "_quad_tail_pair"),
                          (numerics, "quad_finite")):
         monkeypatch.setattr(module, name, refuse)
     assert math.isfinite(zeta_deg(2.5, 1.0, 0.1))
@@ -497,13 +497,14 @@ def test_continued_depth_independence():
     from degzeta.zetadeg import _kernel_coeffs, _split_mellin
     from degzeta.gammadeg import deg_kernel, deg_log_kernel
     from degzeta.numerics import QuadConfig
-    from degzeta.zetadeg import deg_euler_zeta_kernel, deg_euler_zeta_log_kernel
+    from degzeta.zetadeg import deg_zeta_gamma_kernels
 
     cfg = QuadConfig()
     s = -0.5
     num_coeffs = _kernel_coeffs(F(1), F(1, 10))
     den_coeffs = _kernel_coeffs(None, F(1, 10))
-    kern_n = deg_euler_zeta_kernel(1.0, 0.1), deg_euler_zeta_log_kernel(1.0, 0.1)
+    kerns, log_kerns = deg_zeta_gamma_kernels(1.0, 0.1)
+    kern_n = (lambda t: kerns(t)[0]), log_kerns[0]
     kern_d = deg_kernel(0.1), deg_log_kernel(0.1)
     values = []
     for depth in (60, len(num_coeffs)):
@@ -550,6 +551,77 @@ def test_continued_tail_power_beyond_float_range():
 
     assert _rel_err(gamma_deg_continued(80.0, 0.01), gamma_deg(80.0, 0.01).value) <= 1e-8
     assert _rel_err(zeta_deg_continued(80.0, 1.0, 0.01), zeta_deg(80.0, 1.0, 0.01)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# shared panels of the zeta ratios
+# ---------------------------------------------------------------------------
+
+def test_ratio_routes_integrate_numerator_and_denominator_together(monkeypatch):
+    from degzeta import gammadeg, numerics
+
+    calls = [0]
+
+    def counting(quad):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return quad(*args, **kwargs)
+        return counted
+
+    # the heads reach quad_finite through gammadeg's binding, the tails
+    # through numerics' own; the benchmark's spans wrap both
+    for module in (gammadeg, numerics):
+        monkeypatch.setattr(module, "quad_finite", counting(module.quad_finite))
+    for route, args, expected in ((zeta_deg_continued, (-1.7, 1.3, 0.15), 1),
+                                  (zeta_deg_mellin, (2.3, 1.3, 0.15), 2),
+                                  (gamma_deg, (2.3, 0.15), 2)):
+        calls[0] = 0
+        route(*args)
+        assert calls[0] == expected, route.__name__
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(-3.99, -0.01), st.floats(1.0, 3.0), st.floats(0.05, 0.3))
+def test_continued_pair_matches_separate_split_integrals(s, x, lam):
+    # at the default tolerance the separate integrals are themselves up to
+    # 5e-12 off (continuation workload, seeds 1-3, against mpmath), so the
+    # two routes are compared at 1e-13, where they agree within 4e-14
+    from hypothesis import assume
+
+    from degzeta.gammadeg import POLE_GUARD, deg_kernel, deg_log_kernel
+    from degzeta.numerics import QuadConfig
+    from degzeta.zetadeg import _kernel_coeffs, _split_mellin, deg_zeta_gamma_kernels
+
+    def zeta_kern(t):
+        return 2 * (1 + lam * t) ** (-x / lam) / ((1 + lam * t) ** (-1 / lam) + 1)
+
+    assume(abs(s - round(s)) >= POLE_GUARD)
+    tight = QuadConfig(rel_tol=1e-13)
+    log_kern = deg_zeta_gamma_kernels(x, lam)[1][0]
+    num, _ = _split_mellin(s, _kernel_coeffs(x, lam), zeta_kern, log_kern, tight)
+    den, _ = _split_mellin(s, _kernel_coeffs(None, lam), deg_kernel(lam),
+                           deg_log_kernel(lam), tight)
+    assert abs(zeta_deg_continued(s, x, lam, tight) / (num / den) - 1) <= 1e-12
+    assert abs(zeta_deg_continued(s, x, lam) / (num / den) - 1) <= 1e-11
+
+
+def test_ratio_pairs_that_overflow_fall_back_to_log_tails(monkeypatch):
+    # t^(s-1) overflows in both tails at these s (the two *_beyond_float_range
+    # tests), so each kernel's tail is redone in logs on its own
+    from degzeta import gammadeg
+
+    log_tails = []
+    log_tail = gammadeg._log_tail
+
+    def counted(log_kern, *args):
+        log_tails.append(log_kern)
+        return log_tail(log_kern, *args)
+
+    monkeypatch.setattr(gammadeg, "_log_tail", counted)
+    assert abs(zeta_deg_mellin(90.0, 3.0, 0.01).value / zeta_deg(90.0, 3.0, 0.01) - 1) <= 1e-8
+    assert len(log_tails) == 2
+    assert _rel_err(zeta_deg_continued(80.0, 1.0, 0.01), zeta_deg(80.0, 1.0, 0.01)) <= 1e-8
+    assert len(log_tails) == 4
 
 
 # ---------------------------------------------------------------------------
