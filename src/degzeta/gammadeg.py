@@ -161,8 +161,8 @@ def _mellin_tail(kern, log_kern, s: float, cfg: QuadConfig | None,
     where the integrand is r w^(floor(eps)+2) g(w^r): a positive integer
     power of w for every eps above 3/64, the tail twin of the head's map.
     Any r > 0 gives the same integral, so eps need not be exact.  Without
-    a rate (the classical kernel decays exponentially; the continuation's
-    `_split_mellin`) r = 1, the plain u-map.
+    a rate (the classical kernel decays exponentially; the continued gamma,
+    `zetadeg.gamma_deg_continued`) r = 1, the plain u-map.
 
     The power alone can overflow at large t and s while the product stays
     in range, so the tail is redone in logs (`_log_tail`) if a sample or a

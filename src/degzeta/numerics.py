@@ -15,12 +15,16 @@ u^(a-s-1) times a smooth factor at u = 1/(1+t) = 0, and u = w^r
 (`_quad_tail_power`, of which `quad_tail` is r = 1) turns that into an
 integer power of w too, with r chosen by `gammadeg._mellin_tail`.
 
-A pair integrand, f(t) = (f1(t), f2(t)), is integrated on shared panels:
-one call per node serves both components, and the loop bisects until each
-meets its own tolerance (`quad_finite`).  The zeta ratios of `zetadeg`
-take their numerator and denominator kernels this way, heads and tails
-alike, so the shared logarithms, exponentials and powers of t are
-computed once per node (`gammadeg._mellin_quad_pair`, `_mellin_tail_pair`).
+`quad_finite` has one adaptive loop, and it runs on pairs.  A pair
+integrand, f(t) = (f1(t), f2(t)), is integrated on shared panels: one call
+per node serves both components, and the loop bisects until each meets its
+own tolerance.  A scalar integrand is the pair whose second component is
+0: its panel (`_gk_panel`, kept apart from `_gk_pair_panel` for speed)
+reports value 0 and error 0 there, which meet the tolerance at once.  The
+zeta ratios of `zetadeg` take their numerator and denominator kernels as
+pairs, heads and tails alike, so the shared logarithms, exponentials and
+powers of t are computed once per node (`gammadeg._mellin_quad_pair`,
+`_mellin_tail_pair`).
 
 The Euler transformation rewrites sum_m (-1)^m a_m as
 
@@ -124,10 +128,12 @@ _GK15_WEIGHTS = tuple((wg, wk) for _, wg, wk in _GK15)
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float,
-              y0: float | None = None) -> tuple[float, float]:
-    """One Gauss-Kronrod panel on [a, b]: (K15 value, error estimate).
+              y0: float | None = None) -> tuple[float, float, float, float]:
+    """One Gauss-Kronrod panel on [a, b]: (K15 value, error estimate, 0.0, 0.0).
 
-    y0, if given, is f's value at the first node, already evaluated.
+    The zero value and error are the second component of the pair that
+    `quad_finite`'s loop runs for a scalar integrand.  y0, if given, is f's
+    value at the first node, already evaluated.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -135,35 +141,31 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float,
     ys = []
     nodes = _GK15
     if y0 is not None:
-        x, wg, wk = _GK15[0]
-        if not math.isfinite(y0):
-            raise DomainError(f"integrand evaluated non-finite at t={c + h * x!r}")
+        _, wg, wk = _GK15[0]
         gauss += wg * y0
         kronrod += wk * y0
         ys.append(y0)
         nodes = _GK15_AFTER_FIRST
     for x, wg, wk in nodes:
-        t = c + h * x
-        y = f(t)
-        if not math.isfinite(y):
-            raise DomainError(f"integrand evaluated non-finite at t={t!r}")
+        y = f(c + h * x)
         gauss += wg * y
         kronrod += wk * y
         ys.append(y)
+    if not math.isfinite(kronrod):
+        raise _not_finite(a, b)
     mean = kronrod / 2.0
     resabs = resasc = 0.0  # explicit sums: sum() of floats rounds differently from 3.12
     for (_, _, wk), y in zip(_GK15, ys):
         resabs += wk * abs(y)
         resasc += wk * abs(y - mean)
-    return _gk_estimate(h, gauss, kronrod, resabs, resasc)
+    return (*_gk_estimate(h, gauss, kronrod, resabs, resasc), 0.0, 0.0)
 
 
 def _gk_pair_panel(f, a: float, b: float, y0: tuple[float, float] | None = None
                    ) -> tuple[float, float, float, float]:
     """`_gk_panel` of a pair integrand: (value 1, error 1, value 2, error 2).
 
-    The components share the nodes.  Every Kronrod weight is positive, so
-    a K15 sum is finite only if each of its samples is.
+    The components share the nodes.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -176,7 +178,7 @@ def _gk_pair_panel(f, a: float, b: float, y0: tuple[float, float] | None = None
         g2 += wg * y2
         k2 += wk * y2
     if not (math.isfinite(k1) and math.isfinite(k2)):
-        raise DomainError(f"pair integrand or its sum not finite on [{a!r}, {b!r}]")
+        raise _not_finite(a, b)
     mean1 = k1 / 2.0
     mean2 = k2 / 2.0
     abs1 = asc1 = abs2 = asc2 = 0.0
@@ -189,6 +191,16 @@ def _gk_pair_panel(f, a: float, b: float, y0: tuple[float, float] | None = None
         abs2 += wk * (y2 if y2 >= 0.0 else -y2)
         asc2 += wk * (d2 if d2 >= 0.0 else -d2)
     return (*_gk_estimate(h, g1, k1, abs1, asc1), *_gk_estimate(h, g2, k2, abs2, asc2))
+
+
+def _not_finite(a: float, b: float) -> DomainError:
+    """The panels' one finiteness rule: a K15 sum that is not finite.
+
+    Every Kronrod weight is positive, so the sum is finite only if each
+    sample is, and then only if the weighted samples stay in the float range.
+    """
+    return DomainError(f"integrand not finite on [{a!r}, {b!r}], "
+                       f"or its K15 sum overflows the float range")
 
 
 def _gk_estimate(h: float, gauss: float, kronrod: float, resabs: float,
@@ -211,82 +223,47 @@ def _gk_estimate(h: float, gauss: float, kronrod: float, resabs: float,
     return kronrod * h, max(err, _ROUNDOFF * resabs)
 
 
-def quad_finite(f: Callable[[float], float], a: float, b: float,
+def quad_finite(f: Callable[[float], float | tuple[float, float]], a: float, b: float,
                 cfg: QuadConfig | None = None) -> QuadResult | tuple[QuadResult, QuadResult]:
     """Adaptive Gauss-Kronrod integration of f on the finite interval [a, b].
 
-    Bisects the interval with the largest error estimate until the summed
-    estimate meets max(_ABS_FLOOR, cfg.rel_tol * |integral|), within
-    _MAX_BISECTIONS bisections.
+    f returns a float, or a pair (f1(t), f2(t)) as a tuple.  A pair is
+    integrated on shared panels, one call per node, and one QuadResult per
+    component comes back; a float gives one QuadResult.
+
+    Bisects the panel of largest error over tolerance until each component
+    meets its own max(_ABS_FLOOR, cfg.rel_tol * |I_k|), within
+    _MAX_BISECTIONS bisections; a pair's panel is ranked by the larger of
+    its two components' ratios, and both results count the shared
+    bisections.  A scalar integrand runs through the same loop as the pair
+    whose second component is 0 (`_gk_panel`): its error 0 meets the
+    floor, so it never holds the loop open.
 
     Each panel's estimate is at least its roundoff floor, _ROUNDOFF times
     its K15 value of |f|, and those values sum to at least |integral|
     however the interval is cut.  So a rel_tol below _ROUNDOFF (~1.1e-14)
     can be met only where _ABS_FLOOR governs, for |integral| below
-    _ABS_FLOOR / _ROUNDOFF (~0.9).  Once the value less its error estimate
-    is above that, the loop stops instead of bisecting on.
-
-    A pair integrand, f(t) = (f1(t), f2(t)) as a tuple, is integrated on
-    shared panels, and one QuadResult per component comes back.  Each
-    component must meet its own max(_ABS_FLOOR, cfg.rel_tol * |I_k|); the
-    loop bisects the panel of largest error over tolerance, the larger of
-    its two components'.  The roundoff floor, checked for each component
-    not yet met, and the budget apply to the pair, and both results count
-    the shared bisections.
+    _ABS_FLOOR / _ROUNDOFF (~0.9).  Once a component not yet met has its
+    value less its error estimate above that, the loop stops instead of
+    bisecting on.
 
     Raises:
         NonConvergentError: rel_tol is below the roundoff floor for an
             integral this large, or the budget ran out with the error
             above the tolerance.
-        DomainError: a sample evaluated to NaN or infinity, or the finite
-            samples' weighted sums left the float range.
+        DomainError: a panel's K15 sum is not finite (a sample is NaN or
+            infinite, or the weighted samples leave the float range), or
+            the panels' sum leaves the float range.
     """
     cfg = cfg or QuadConfig()
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise DomainError("need finite bounds with b > a")
     y0 = f(0.5 * (a + b) + 0.5 * (b - a) * _GK15[0][0])  # the first panel's first sample
-    if isinstance(y0, tuple):
-        return _quad_pair(f, a, b, cfg, y0)
-    below_floor = cfg.rel_tol < _ROUNDOFF
-    val, err = _gk_panel(f, a, b, y0)
-    total_val = val
-    total_err = err
-    counter = 0
-    heap = [(-err, counter, a, b, val, err)]
-    subdivisions = 0
-    try:
-        while total_err > max(_ABS_FLOOR, cfg.rel_tol * abs(total_val)):
-            if below_floor and _ROUNDOFF * (low := abs(total_val) - total_err) > _ABS_FLOOR:
-                raise _floor_error(low, cfg.rel_tol, subdivisions)
-            if subdivisions >= _MAX_BISECTIONS:
-                raise _budget_error(total_err, subdivisions)
-            _, _, lo, hi, v, e = heapq.heappop(heap)
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                # interval is at machine resolution; nothing left to refine
-                raise NonConvergentError("interval underflow before reaching tolerance")
-            v1, e1 = _gk_panel(f, lo, mid)
-            v2, e2 = _gk_panel(f, mid, hi)
-            total_val += v1 + v2 - v
-            total_err += e1 + e2 - e
-            counter += 1
-            heapq.heappush(heap, (-e1, counter, lo, mid, v1, e1))
-            counter += 1
-            heapq.heappush(heap, (-e2, counter, mid, hi, v2, e2))
-            subdivisions += 1
-    finally:
-        # a kept error's traceback keeps this frame, so drop the panels
-        heap.clear()
-    _check_sum(total_val, total_err)
-    return QuadResult(total_val, total_err, subdivisions)
-
-
-def _quad_pair(f, a: float, b: float, cfg: QuadConfig,
-               y0: tuple[float, float]) -> tuple[QuadResult, QuadResult]:
-    """`quad_finite` for a pair integrand whose first sample is y0."""
+    pair = isinstance(y0, tuple)
+    panel = _gk_pair_panel if pair else _gk_panel
     rel_tol = cfg.rel_tol
     below_floor = rel_tol < _ROUNDOFF
-    val1, err1, val2, err2 = _gk_pair_panel(f, a, b, y0)
+    val1, err1, val2, err2 = panel(f, a, b, y0)
     counter = 0
     heap = [(0.0, counter, a, b, val1, err1, val2, err2)]
     subdivisions = 0
@@ -294,47 +271,42 @@ def _quad_pair(f, a: float, b: float, cfg: QuadConfig,
         while True:
             tol1 = max(_ABS_FLOOR, rel_tol * abs(val1))
             tol2 = max(_ABS_FLOOR, rel_tol * abs(val2))
-            if err1 <= tol1 and err2 <= tol2:
+            if not (err1 > tol1 or err2 > tol2):  # a NaN error stops too, for _check_sum
                 break
             if below_floor:
                 for val, err, tol in ((val1, err1, tol1), (val2, err2, tol2)):
                     if err > tol and _ROUNDOFF * (low := abs(val) - err) > _ABS_FLOOR:
-                        raise _floor_error(low, rel_tol, subdivisions)
+                        raise NonConvergentError(
+                            f"quadrature roundoff floor {_ROUNDOFF * low:.3e} above tolerance "
+                            f"{max(_ABS_FLOOR, rel_tol * low):.3e} at |integral| >= {low:.3e} "
+                            f"after {subdivisions} subdivisions")
             if subdivisions >= _MAX_BISECTIONS:
-                raise _budget_error(err1 if err1 > tol1 else err2, subdivisions)
+                raise NonConvergentError(
+                    f"quadrature error {err1 if err1 > tol1 else err2:.3e} above tolerance "
+                    f"after {subdivisions} subdivisions")
             _, _, lo, hi, v1, e1, v2, e2 = heapq.heappop(heap)
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
+                # interval is at machine resolution; nothing left to refine
                 raise NonConvergentError("interval underflow before reaching tolerance")
-            left = _gk_pair_panel(f, lo, mid)
-            right = _gk_pair_panel(f, mid, hi)
+            left = panel(f, lo, mid)
+            right = panel(f, mid, hi)
             val1 += left[0] + right[0] - v1
             err1 += left[1] + right[1] - e1
             val2 += left[2] + right[2] - v2
             err2 += left[3] + right[3] - e2
-            for panel_lo, panel_hi, panel in ((lo, mid, left), (mid, hi, right)):
+            for panel_lo, panel_hi, panel_sums in ((lo, mid, left), (mid, hi, right)):
                 counter += 1
-                key = -max(panel[1] / tol1, panel[3] / tol2)
-                heapq.heappush(heap, (key, counter, panel_lo, panel_hi, *panel))
+                key = -max(panel_sums[1] / tol1, panel_sums[3] / tol2)
+                heapq.heappush(heap, (key, counter, panel_lo, panel_hi, *panel_sums))
             subdivisions += 1
     finally:
+        # a kept error's traceback keeps this frame, so drop the panels
         heap.clear()
     _check_sum(val1, err1)
     _check_sum(val2, err2)
-    return QuadResult(val1, err1, subdivisions), QuadResult(val2, err2, subdivisions)
-
-
-def _floor_error(low: float, rel_tol: float, subdivisions: int) -> NonConvergentError:
-    return NonConvergentError(
-        f"quadrature roundoff floor {_ROUNDOFF * low:.3e} above tolerance "
-        f"{max(_ABS_FLOOR, rel_tol * low):.3e} at |integral| >= {low:.3e} "
-        f"after {subdivisions} subdivisions"
-    )
-
-
-def _budget_error(err: float, subdivisions: int) -> NonConvergentError:
-    return NonConvergentError(
-        f"quadrature error {err:.3e} above tolerance after {subdivisions} subdivisions")
+    first = QuadResult(val1, err1, subdivisions)
+    return (first, QuadResult(val2, err2, subdivisions)) if pair else first
 
 
 def _check_sum(value: float, err: float) -> None:

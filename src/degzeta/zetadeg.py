@@ -478,13 +478,6 @@ def _pole_part(s: float, coeffs: tuple[float, ...]) -> float:
     return pole_part
 
 
-def _split_mellin(s: float, coeffs: tuple[float, ...], kern, log_kern,
-                  cfg: QuadConfig | None = None) -> tuple[float, float]:
-    pole_part = _pole_part(s, coeffs)
-    tail = _mellin_tail(kern, log_kern, s, cfg)
-    return pole_part + tail.value, tail.abs_error_estimate
-
-
 def gamma_deg_continued(s: float, lam: float) -> float:
     """Gamma(s|lam) continued left of 0 by the split-integral representation.
 
@@ -493,9 +486,8 @@ def gamma_deg_continued(s: float, lam: float) -> float:
     `gamma_deg_residue`).
     """
     _check_domain(s, lam, continued=True)
-    value, _ = _split_mellin(s, _kernel_coeffs(None, lam), deg_kernel(lam),
-                             deg_log_kernel(lam))
-    return value
+    pole_part = _pole_part(s, _kernel_coeffs(None, lam))
+    return pole_part + _mellin_tail(deg_kernel(lam), deg_log_kernel(lam), s, None).value
 
 
 def zeta_deg_continued(s: float, x: float, lam: float,

@@ -234,6 +234,62 @@ def test_pair_non_finite_component_is_domain_error():
         quad_finite(lambda t: (1.0, math.inf if t > 0.5 else 1.0), 0.0, 1.0)
 
 
+# quad_finite runs a scalar integrand as the pair whose second component is
+# 0, so pairing a scalar with 0.0 must give its QuadResult bit for bit, or
+# raise the same error.  Each row: (f, a, b, the scalar quadrature of f).
+def _gamma_deg_head(s, lam):
+    """The head integrand of `gammadeg._mellin_quad` for Gamma(s|lam), in u."""
+    from degzeta.gammadeg import deg_kernel
+
+    kern = deg_kernel(lam)
+    p = (math.floor(s) + 4.0) / (s + 1.0)
+    q = p * s - 1.0
+    return lambda u: p * (kern(u**p) - 1.0) * u**q
+
+
+def _slow(t):
+    return t ** -1.3
+
+
+def _slow_in_u(u):
+    """quad_tail's integrand for _slow on [1, inf): f(t) / u^2 in u = 1/(1+t)."""
+    return _slow((1.0 - u) / u) / (u * u)
+
+
+def _sqrt_exp(t):
+    return t**0.5 * math.exp(-3.0 * t)
+
+
+_HEAD = _gamma_deg_head(0.05, 0.9)
+_ZERO_PAIRED = {
+    "sqrt_exp": (_sqrt_exp, 0.0, 1.0, lambda cfg: quad_finite(_sqrt_exp, 0.0, 1.0, cfg)),
+    "gamma_deg_head": (_HEAD, 0.0, 1.0, lambda cfg: quad_finite(_HEAD, 0.0, 1.0, cfg)),
+    "slow_tail": (_slow_in_u, 0.0, 0.5, lambda cfg: quad_tail(_slow, 1.0, cfg)),
+}
+
+
+def _outcome(quad):
+    try:
+        return quad()
+    except NonConvergentError as exc:
+        return f"NonConvergentError: {exc}"
+
+
+@pytest.mark.parametrize("rel_tol", [None, 1e-13, 1e-15])
+@pytest.mark.parametrize("case", sorted(_ZERO_PAIRED))
+def test_scalar_runs_as_pair_with_zero_second_component(case, rel_tol):
+    f, a, b, scalar = _ZERO_PAIRED[case]
+    cfg = rel_tol and QuadConfig(rel_tol=rel_tol)
+    alone = _outcome(lambda: scalar(cfg))
+    assert _outcome(lambda: quad_finite(lambda t: (f(t), 0.0), a, b, cfg)[0]) == alone
+    if rel_tol == 1e-13:  # every row bisects several times
+        assert alone.subdivisions >= 3
+    if rel_tol == 1e-15 and case == "slow_tail":
+        # below the roundoff floor the tail, 10/3 > 0.9, fails fast; the
+        # other two, under 0.9, converge where the absolute 1e-14 governs
+        assert "roundoff floor" in alone
+
+
 # ---------------------------------------------------------------------------
 # Euler transformation
 # ---------------------------------------------------------------------------

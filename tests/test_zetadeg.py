@@ -491,10 +491,18 @@ def test_continued_finite_between_poles():
     assert math.isfinite(v)
 
 
+def _split_integral(s, coeffs, kern, log_kern, cfg) -> float:
+    """One continued Mellin integral on its own: the pole part plus the tail."""
+    from degzeta.gammadeg import _mellin_tail
+    from degzeta.zetadeg import _pole_part
+
+    return _pole_part(s, coeffs) + _mellin_tail(kern, log_kern, s, cfg).value
+
+
 def test_continued_depth_independence():
     # the Taylor depth of the [0,1] piece must not affect the value once
     # the coefficients have decayed; slice the cached coefficient vectors
-    from degzeta.zetadeg import _kernel_coeffs, _split_mellin
+    from degzeta.zetadeg import _kernel_coeffs
     from degzeta.gammadeg import deg_kernel, deg_log_kernel
     from degzeta.numerics import QuadConfig
     from degzeta.zetadeg import deg_zeta_gamma_kernels
@@ -508,8 +516,8 @@ def test_continued_depth_independence():
     kern_d = deg_kernel(0.1), deg_log_kernel(0.1)
     values = []
     for depth in (60, len(num_coeffs)):
-        n, _ = _split_mellin(s, num_coeffs[:depth], *kern_n, cfg)
-        d, _ = _split_mellin(s, den_coeffs[:depth], *kern_d, cfg)
+        n = _split_integral(s, num_coeffs[:depth], *kern_n, cfg)
+        d = _split_integral(s, den_coeffs[:depth], *kern_d, cfg)
         values.append(n / d)
     assert abs(values[0] - values[1]) <= 1e-8
 
@@ -590,7 +598,7 @@ def test_continued_pair_matches_separate_split_integrals(s, x, lam):
 
     from degzeta.gammadeg import POLE_GUARD, deg_kernel, deg_log_kernel
     from degzeta.numerics import QuadConfig
-    from degzeta.zetadeg import _kernel_coeffs, _split_mellin, deg_zeta_gamma_kernels
+    from degzeta.zetadeg import _kernel_coeffs, deg_zeta_gamma_kernels
 
     def zeta_kern(t):
         return 2 * (1 + lam * t) ** (-x / lam) / ((1 + lam * t) ** (-1 / lam) + 1)
@@ -598,9 +606,9 @@ def test_continued_pair_matches_separate_split_integrals(s, x, lam):
     assume(abs(s - round(s)) >= POLE_GUARD)
     tight = QuadConfig(rel_tol=1e-13)
     log_kern = deg_zeta_gamma_kernels(x, lam)[1][0]
-    num, _ = _split_mellin(s, _kernel_coeffs(x, lam), zeta_kern, log_kern, tight)
-    den, _ = _split_mellin(s, _kernel_coeffs(None, lam), deg_kernel(lam),
-                           deg_log_kernel(lam), tight)
+    num = _split_integral(s, _kernel_coeffs(x, lam), zeta_kern, log_kern, tight)
+    den = _split_integral(s, _kernel_coeffs(None, lam), deg_kernel(lam),
+                          deg_log_kernel(lam), tight)
     assert abs(zeta_deg_continued(s, x, lam, tight) / (num / den) - 1) <= 1e-12
     assert abs(zeta_deg_continued(s, x, lam) / (num / den) - 1) <= 1e-11
 
